@@ -33,10 +33,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .finite_size import (
+    DEFAULT_EPSILON_SM,
     confidence_bound,
     coverage_diagnostic,
     mle_sigma2,
@@ -51,7 +52,7 @@ from .schemes import (
     ProtocolParams,
     evaluate_keyrate,
     keyrate_at_distance,
-    secure_distance,
+    optimize_T,
 )
 
 
@@ -66,10 +67,13 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+_PROTOCOL = {f.name: f.default for f in fields(ProtocolParams) if f.name != "channel"}
+_CHANNEL = {f.name: f.default for f in fields(ChannelParams)}
+
 _DEFAULTS: dict[str, object] = {
-    "V": 40.0, "chi_s": 0.1, "eps": 0.1, "beta": 0.8, "r": 0.5, "T": 0.5,
-    "alpha": 0.2, "d": 10.0, "scheme": None, "out": None, "seed": 1,
-    "m": 1_000_000, "eps_sm": 1e-10, "trials": 0, "sigma_hat2": None,
+    **_PROTOCOL, "eps": _CHANNEL["epsilon"], "alpha": _CHANNEL["alpha_db_per_km"],
+    "d": 10.0, "scheme": None, "out": None, "seed": 1,
+    "m": 1_000_000, "eps_sm": DEFAULT_EPSILON_SM, "trials": 0, "sigma_hat2": None,
     "d_start": 0.0, "d_stop": 40.0, "d_step": 0.5,
     "T_start": 0.01, "T_stop": 0.99, "T_step": 0.01,
 }
@@ -112,13 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--V", type=float, help="EPR-equivalent modulation variance (default 40)")
-        p.add_argument("--chi-s", dest="chi_s", type=float, help="source-noise variance (default 0.1)")
-        p.add_argument("--eps", type=float, help="channel excess noise (default 0.1)")
-        p.add_argument("--beta", type=float, help="reconciliation efficiency (default 0.8)")
-        p.add_argument("--r", type=float, help="active-scheme sampling ratio (default 0.5)")
-        p.add_argument("--T", type=float, help="passive-scheme tap transmittance (default 0.5)")
-        p.add_argument("--alpha", type=float, help="fiber attenuation, dB/km (default 0.2)")
+        p.add_argument("--V", type=float,
+                       help=f"EPR-equivalent modulation variance (default {_DEFAULTS['V']:g})")
+        p.add_argument("--chi-s", dest="chi_s", type=float,
+                       help=f"source-noise variance (default {_DEFAULTS['chi_s']:g})")
+        p.add_argument("--eps", type=float,
+                       help=f"channel excess noise (default {_DEFAULTS['eps']:g})")
+        p.add_argument("--beta", type=float,
+                       help=f"reconciliation efficiency (default {_DEFAULTS['beta']:g})")
+        p.add_argument("--r", type=float,
+                       help=f"active-scheme sampling ratio (default {_DEFAULTS['r']:g})")
+        p.add_argument("--T", type=float,
+                       help=f"passive-scheme tap transmittance (default {_DEFAULTS['T']:g})")
+        p.add_argument("--alpha", type=float,
+                       help=f"fiber attenuation, dB/km (default {_DEFAULTS['alpha']:g})")
         p.add_argument("--d", type=float, help="span length, km (default 10)")
         p.add_argument("--scheme", type=str,
                        help="untrusted | active_switch | passive_bs (sweeps also accept 'all' "
@@ -128,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_parse_int, help="PRNG seed (default 1)")
         p.add_argument("--m", type=_parse_int, help="monitor sample count (default 1000000)")
         p.add_argument("--eps-sm", dest="eps_sm", type=float,
-                       help="monitor failure probability (default 1e-10)")
+                       help=f"monitor failure probability (default {_DEFAULTS['eps_sm']:g})")
         p.add_argument("--trials", type=_parse_int, help="coverage trials, 0 = skip (default 0)")
         p.add_argument("--d-start", dest="d_start", type=float, help="sweep start, km (default 0)")
         p.add_argument("--d-stop", dest="d_stop", type=float, help="sweep stop, km (default 40)")
@@ -292,16 +303,13 @@ def cmd_grid_t(cfg: dict) -> int:
             bd = keyrate_at_distance(SCHEME_PASSIVE, p_t, d)
             lines.append(f"{_fmt(T)},{_fmt(d)},{_fmt(bd.key_rate)}")
     lines.append("T,secure_distance_km")
-    best_T, best_d = None, None
-    for T in taps:
-        dist = secure_distance(SCHEME_PASSIVE, replace(params, T=T), d_max=cfg["d_stop"])
+    sweep = optimize_T(params, taps, d_max=cfg["d_stop"])
+    for T, dist in sweep.table:
         lines.append(f"{_fmt(T)},{'' if dist is None else _fmt(dist)}")
-        if dist is not None and (best_d is None or dist > best_d):
-            best_T, best_d = T, dist
-    if best_d is None:
+    if sweep.d_best is None:
         summary = f"no secure tap setting on the grid of {len(taps)} values"
     else:
-        summary = (f"best tap T={_fmt(best_T)}: secure distance {_fmt(best_d)} km "
+        summary = (f"best tap T={_fmt(sweep.T_best)}: secure distance {_fmt(sweep.d_best)} km "
                    f"(grid of {len(taps)} T values x {len(distances)} distances)")
     _emit(cfg, lines, summary)
     return 0
@@ -317,8 +325,9 @@ def cmd_finite_size(cfg: dict) -> int:
                       _fmt(est.z), _fmt(est.delta_chi_s), _fmt(est.sigma_min2)]),
         ]
     else:
-        batch = simulate_monitor(cfg["V"], cfg["chi_s"], m, cfg["seed"])
-        est = confidence_bound(mle_sigma2(batch), m, eps_sm)
+        # Only the estimate is kept, so the batch is freed before the trials.
+        est = confidence_bound(
+            mle_sigma2(simulate_monitor(cfg["V"], cfg["chi_s"], m, cfg["seed"])), m, eps_sm)
         lines = [
             "V,chi_s,m,seed,eps_sm,sigma_hat2,z,delta_chi_s,sigma_min2",
             ",".join([_fmt(cfg["V"]), _fmt(cfg["chi_s"]), str(est.m), str(cfg["seed"]),

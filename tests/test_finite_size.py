@@ -1,6 +1,7 @@
 """Finite-sample noise-variance estimation and its Monte Carlo diagnostics."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvqkd_mon.finite_size as finite_size
 from cvqkd_mon import (
+    CoverageReport,
     MonitorBatch,
     confidence_bound,
     coverage_diagnostic,
@@ -157,7 +160,53 @@ class TestSimulateMonitor:
             simulate_monitor(2.0, 0.1, 0, seed=1)
 
 
+def serial_coverage(V, chi_s, m, eps_sm, trials, seed) -> CoverageReport:
+    """Reference: one simulate -> estimate -> bound pipeline per trial."""
+    hats, failures = [], 0
+    for k in range(trials):
+        est = confidence_bound(mle_sigma2(simulate_monitor(V, chi_s, m, seed + k)), m, eps_sm)
+        hats.append(est.sigma_hat2)
+        failures += est.sigma_min2 > chi_s
+    mean_hat = float(np.mean(hats))
+    return CoverageReport(
+        trials=trials,
+        failure_rate=failures / trials,
+        mean_sigma_hat2=mean_hat,
+        std_sigma_hat2=float(np.std(hats, ddof=1)),
+        assumed_dispersion=math.sqrt(2.0) * mean_hat / math.sqrt(m),
+        moment_dispersion=math.sqrt(2.0) * (V + chi_s) / math.sqrt(m),
+    )
+
+
 class TestCoverageDiagnostic:
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("trials", [100, 101])
+    def test_equals_serial_pipeline(self, monkeypatch, cpus, trials):
+        # the blocked, buffer-reusing trials repeat the serial arithmetic
+        # exactly, however the blocks split and the threads interleave
+        monkeypatch.setattr(finite_size, "_available_cpus", lambda: cpus)
+        args = dict(V=3.0, chi_s=0.4, m=1001, eps_sm=0.2, trials=trials, seed=77)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = coverage_diagnostic(**args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert report == serial_coverage(**args)
+        assert report.failure_rate > 0.0
+
+    @pytest.mark.parametrize("bad", [
+        {"V": 0.5}, {"chi_s": -0.1}, {"m": 0}, {"m": 1}, {"eps_sm": 0.0}, {"eps_sm": 0.5},
+    ])
+    def test_rejects_bad_arguments_before_any_trial(self, monkeypatch, bad):
+        started = []
+        monkeypatch.setattr(finite_size, "_estimate_block",
+                            lambda *args: started.append(args))
+        args = dict(V=2.0, chi_s=0.05, m=64, eps_sm=0.01, trials=100, seed=5) | bad
+        with pytest.raises(ValueError):
+            coverage_diagnostic(**args)
+        assert started == []
+
     def test_dispersion_matches_moment_calculation(self):
         # strongly noisy source with small modulation: the empirical spread
         # of the estimate follows sqrt(2)(V + chi_s)/sqrt(m), not the
