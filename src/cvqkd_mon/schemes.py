@@ -251,11 +251,10 @@ def secure_distance(scheme: str, p: ProtocolParams, d_max: float = 100.0,
                     coarse_step: float = 0.5, tol_km: float = 0.01) -> float | None:
     """Largest distance with a positive key rate, or None if insecure at d=0.
 
-    The two ends of the coarse grid (default 0.5 km) are evaluated first:
-    an insecure d=0 returns None after one point, and a rate still positive
-    at the cap returns `d_max` after two.  Otherwise the rest of the grid is
-    scanned for the last positive point, and bisection narrows the boundary
-    to `tol_km`.
+    d=0 is evaluated first, so an insecure search returns None after one
+    point.  Otherwise a coarse grid scan (default 0.5 km) brackets the last
+    positive point, then bisection narrows the boundary to `tol_km`.  If the
+    rate is still positive at `d_max` the cap itself is returned.
     """
     if d_max <= 0.0:
         raise ValueError(f"search cap must be positive, got d_max={d_max}")
@@ -269,12 +268,9 @@ def secure_distance(scheme: str, p: ProtocolParams, d_max: float = 100.0,
         grid.append(d_max)
     if rate(grid[0]) <= 0.0:
         return None
-    if rate(grid[-1]) > 0.0:
+    last_pos = max((i for i in range(1, len(grid)) if rate(grid[i]) > 0.0), default=0)
+    if last_pos == len(grid) - 1:
         return d_max
-    last_pos = 0
-    for i in range(1, len(grid) - 1):
-        if rate(grid[i]) > 0.0:
-            last_pos = i
     lo, hi = grid[last_pos], grid[last_pos + 1]
     while hi - lo > tol_km:
         mid = 0.5 * (lo + hi)
