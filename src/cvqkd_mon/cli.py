@@ -40,8 +40,7 @@ from .finite_size import (
     DEFAULT_EPSILON_SM,
     confidence_bound,
     coverage_diagnostic,
-    mle_sigma2,
-    simulate_monitor,
+    simulated_sigma2,
 )
 from .schemes import (
     SCHEME_ACTIVE,
@@ -325,9 +324,11 @@ def cmd_finite_size(cfg: dict) -> int:
                       _fmt(est.z), _fmt(est.delta_chi_s), _fmt(est.sigma_min2)]),
         ]
     else:
-        # Only the estimate is kept, so the batch is freed before the trials.
-        est = confidence_bound(
-            mle_sigma2(simulate_monitor(cfg["V"], cfg["chi_s"], m, cfg["seed"])), m, eps_sm)
+        # The batch is estimated in one m-sample buffer and never kept; the
+        # coverage trials draw from a separate stream, so this row does not
+        # depend on --trials.
+        est = confidence_bound(simulated_sigma2(cfg["V"], cfg["chi_s"], m, cfg["seed"]),
+                               m, eps_sm)
         lines = [
             "V,chi_s,m,seed,eps_sm,sigma_hat2,z,delta_chi_s,sigma_min2",
             ",".join([_fmt(cfg["V"]), _fmt(cfg["chi_s"]), str(est.m), str(cfg["seed"]),

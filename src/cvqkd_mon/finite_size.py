@@ -18,17 +18,16 @@ Monte Carlo truth so the discrepancy stays visible.
 
 Randomness contract: all synthetic data comes from numpy's PCG64 stream
 (ziggurat normal variates), seeded explicitly, so batches are reproducible
-bit-for-bit across platforms.  Trial k of the coverage diagnostic uses
-seed + k.  The trials run in contiguous blocks on at most two threads, each
-drawing into one reused sample buffer; every trial repeats the arithmetic
-of simulate_monitor -> mle_sigma2 -> confidence_bound exactly, so the
-report does not depend on how the blocks are scheduled.
+bit-for-bit across platforms.  A monitor batch of seed s is drawn from
+PCG64(s).  The coverage diagnostic draws its trials from PCG64(s).jumped(),
+a stream independent of that batch: since sum(y_i^2)/(V + sigma_s^2) is
+chi-squared with m degrees of freedom, each trial is one chi-squared variate
+rather than m normal ones.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +141,21 @@ def simulate_monitor(V: float, chi_s: float, m: int, seed: int) -> MonitorBatch:
     return MonitorBatch(samples=y, V=V)
 
 
+def simulated_sigma2(V: float, chi_s: float, m: int, seed: int) -> float:
+    """mle_sigma2(simulate_monitor(V, chi_s, m, seed)), bit for bit.
+
+    The draw is scaled, squared and averaged in place, so only one m-sample
+    array is ever held; the batch itself is not kept.
+    """
+    _check_source(V, chi_s, m)
+    if m < 2:
+        raise ValueError(f"need at least 2 monitor samples, got {m}")
+    y = np.random.Generator(np.random.PCG64(seed)).standard_normal(m)
+    np.multiply(y, math.sqrt(V + chi_s), out=y)
+    np.square(y, out=y)
+    return float(np.mean(y) - V)
+
+
 @dataclass(frozen=True)
 class CoverageReport:
     """Monte Carlo characterization of the estimator and its bound.
@@ -162,68 +176,27 @@ class CoverageReport:
     moment_dispersion: float
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _estimate_block(hats: np.ndarray, trials: range, V: float, scale: float,
-                    seed: int, buf: np.ndarray) -> None:
-    """hats[k] = mle_sigma2(simulate_monitor(...seed + k)) for k in `trials`.
-
-    The same floating-point operations as the serial pipeline, done in
-    place in `buf`.  Calls no public function of the package, so it may run
-    in a worker thread; the fill and the ufuncs release the GIL.
-    """
-    for k in trials:
-        np.random.Generator(np.random.PCG64(seed + k)).standard_normal(out=buf)
-        np.multiply(buf, scale, out=buf)
-        np.square(buf, out=buf)
-        hats[k] = np.mean(buf) - V
-
-
 def coverage_diagnostic(V: float, chi_s: float, m: int, eps_sm: float,
                         trials: int, seed: int) -> CoverageReport:
-    """Run `trials` simulate -> estimate -> bound pipelines and tabulate.
+    """Draw `trials` monitor estimates, bound each one and tabulate.
 
-    Trial k uses seed + k.  The trials are split into contiguous blocks run
-    on min(2, available CPUs) threads, each with one m-sample buffer that
-    every trial of its block reuses; the estimates are written by trial
-    index and bounded afterwards in the calling thread, so the report is
-    identical, bit for bit, to a serial loop and independent of scheduling.
-    Invalid arguments raise ValueError before any trial starts.
+    Trial k's estimate is (V + chi_s) * X_k / m - V, where X_1..X_trials come
+    from one chisquare(m, trials) draw on PCG64(seed).jumped(); that is the
+    exact law of mle_sigma2 on m monitor samples.  Each trial is bounded
+    with the arithmetic of confidence_bound, so its sigma_min2 is the one
+    confidence_bound gives for that estimate.  Invalid arguments raise
+    ValueError before the draw.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful rate, got {trials}")
     _check_source(V, chi_s, m)
     if m < 2:
         raise ValueError(f"need at least 2 monitor samples, got m={m}")
-    z_from_epsilon(eps_sm)  # rejects a bad eps_sm before the draws
+    z = z_from_epsilon(eps_sm)
 
-    # Two buffers hold no more samples than one serial trial did (the draw
-    # and its scaled copy); more workers would raise memory at large m.
-    workers = min(2, _available_cpus())
-    # Buffers are allocated here, not in the workers: arrays allocated in a
-    # worker thread land in per-thread malloc arenas and raise peak RSS.
-    buffers = [np.empty(m) for _ in range(workers)]
-    edges = [trials * w // workers for w in range(workers + 1)]
-    blocks = [range(edges[w], edges[w + 1]) for w in range(workers)]
-    hats = np.empty(trials)
-    scale = math.sqrt(V + chi_s)
-    # Imported here: at module level it would add ~5 ms to every CLI start.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_estimate_block, hats, block, V, scale, seed, buf)
-                   for block, buf in zip(blocks, buffers)]
-        for future in futures:
-            future.result()
-
-    failures = sum(confidence_bound(float(hat), m, eps_sm).sigma_min2 > chi_s
-                   for hat in hats)
+    rng = np.random.Generator(np.random.PCG64(seed).jumped())
+    hats = (V + chi_s) * rng.chisquare(m, trials) / m - V
+    failures = int(np.count_nonzero(hats - z * hats * math.sqrt(2.0) / math.sqrt(m) > chi_s))
     mean_hat = float(np.mean(hats))
     return CoverageReport(
         trials=trials,

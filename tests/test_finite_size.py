@@ -1,15 +1,14 @@
 """Finite-sample noise-variance estimation and its Monte Carlo diagnostics."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cvqkd_mon.finite_size as finite_size
 from cvqkd_mon import (
     CoverageReport,
     MonitorBatch,
@@ -17,6 +16,7 @@ from cvqkd_mon import (
     coverage_diagnostic,
     mle_sigma2,
     simulate_monitor,
+    simulated_sigma2,
     z_from_epsilon,
 )
 
@@ -160,11 +160,29 @@ class TestSimulateMonitor:
             simulate_monitor(2.0, 0.1, 0, seed=1)
 
 
-def serial_coverage(V, chi_s, m, eps_sm, trials, seed) -> CoverageReport:
-    """Reference: one simulate -> estimate -> bound pipeline per trial."""
+class TestSimulatedSigma2:
+    @pytest.mark.parametrize("V, chi_s, m, seed", [
+        (40.0, 0.1, 1000, 7), (3.0, 0.4, 1001, 77), (1.0, 0.0, 2, 5),
+        (2.5, 1.7, 4097, 12345), (1e6, 3.0, 131073, 1),
+    ])
+    def test_equals_raw_batch_pipeline(self, V, chi_s, m, seed):
+        # the single in-place buffer repeats the raw-batch arithmetic exactly
+        assert simulated_sigma2(V, chi_s, m, seed) \
+            == mle_sigma2(simulate_monitor(V, chi_s, m, seed))
+
+    @pytest.mark.parametrize("bad", [{"V": 0.5}, {"chi_s": -0.1}, {"m": 0}, {"m": 1}])
+    def test_validation(self, bad):
+        args = dict(V=2.0, chi_s=0.05, m=64, seed=5) | bad
+        with pytest.raises(ValueError):
+            simulated_sigma2(**args)
+
+
+def looped_coverage(V, chi_s, m, eps_sm, trials, seed) -> CoverageReport:
+    """Reference: the documented chi-squared draw, one confidence_bound per trial."""
+    draws = np.random.Generator(np.random.PCG64(seed).jumped()).chisquare(m, trials)
     hats, failures = [], 0
-    for k in range(trials):
-        est = confidence_bound(mle_sigma2(simulate_monitor(V, chi_s, m, seed + k)), m, eps_sm)
+    for x in draws:
+        est = confidence_bound(float((V + chi_s) * x / m - V), m, eps_sm)
         hats.append(est.sigma_hat2)
         failures += est.sigma_min2 > chi_s
     mean_hat = float(np.mean(hats))
@@ -179,32 +197,49 @@ def serial_coverage(V, chi_s, m, eps_sm, trials, seed) -> CoverageReport:
 
 
 class TestCoverageDiagnostic:
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("trials", [100, 101])
-    def test_equals_serial_pipeline(self, monkeypatch, cpus, trials):
-        # the blocked, buffer-reusing trials repeat the serial arithmetic
-        # exactly, however the blocks split and the threads interleave
-        monkeypatch.setattr(finite_size, "_available_cpus", lambda: cpus)
+    def test_equals_per_trial_confidence_bound_loop(self, trials):
+        # the one-expression failure count bounds every trial exactly as
+        # confidence_bound does
         args = dict(V=3.0, chi_s=0.4, m=1001, eps_sm=0.2, trials=trials, seed=77)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            report = coverage_diagnostic(**args)
-        finally:
-            sys.setswitchinterval(interval)
-        assert report == serial_coverage(**args)
+        report = coverage_diagnostic(**args)
+        assert report == looped_coverage(**args)
         assert report.failure_rate > 0.0
+
+    @pytest.mark.parametrize("V, chi_s, m, eps_sm, rate", [
+        (3.0, 0.4, 1001, 0.2, 0.4308),
+        (40.0, 0.1, 10 ** 6, 1e-10, None),
+    ])
+    def test_failure_rate_matches_exact_chi2_law(self, V, chi_s, m, eps_sm, rate):
+        # a trial fails when sigma_hat2 * (1 - k) > chi_s, k = z sqrt(2)/sqrt(m),
+        # and m (sigma_hat2 + V)/(V + chi_s) is chi-squared with m degrees of freedom
+        trials = 10 ** 5
+        z = math.sqrt(2.0) * float(scipy.special.erfcinv(eps_sm))
+        k = z * math.sqrt(2.0) / math.sqrt(m)
+        exact = float(scipy.stats.chi2.sf(m * (chi_s / (1.0 - k) + V) / (V + chi_s), m))
+        if rate is not None:
+            assert math.isclose(exact, rate, abs_tol=5e-5)
+        report = coverage_diagnostic(V, chi_s, m, eps_sm, trials, seed=2026)
+        assert abs(report.failure_rate - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
     @pytest.mark.parametrize("bad", [
         {"V": 0.5}, {"chi_s": -0.1}, {"m": 0}, {"m": 1}, {"eps_sm": 0.0}, {"eps_sm": 0.5},
     ])
     def test_rejects_bad_arguments_before_any_trial(self, monkeypatch, bad):
         started = []
-        monkeypatch.setattr(finite_size, "_estimate_block",
-                            lambda *args: started.append(args))
-        args = dict(V=2.0, chi_s=0.05, m=64, eps_sm=0.01, trials=100, seed=5) | bad
+
+        class Recording(np.random.Generator):
+            def chisquare(self, *args, **kwargs):
+                started.append(args)
+                return super().chisquare(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        args = dict(V=2.0, chi_s=0.05, m=64, eps_sm=0.01, trials=100, seed=5)
+        coverage_diagnostic(**args)
+        assert started == [(64, 100)]  # the hook sees the draw of a valid call
+        started.clear()
         with pytest.raises(ValueError):
-            coverage_diagnostic(**args)
+            coverage_diagnostic(**(args | bad))
         assert started == []
 
     def test_dispersion_matches_moment_calculation(self):
