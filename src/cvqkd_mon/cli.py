@@ -81,7 +81,6 @@ _FLOAT_KEYS = {"V", "chi_s", "eps", "beta", "r", "T", "alpha", "d", "eps_sm",
                "sigma_hat2", "d_start", "d_stop", "d_step",
                "T_start", "T_stop", "T_step"}
 _INT_KEYS = {"seed", "m", "trials"}
-_STR_KEYS = {"scheme", "out"}
 
 _SCHEME_ALIASES = {
     "untrusted": SCHEME_UNTRUSTED,
@@ -129,23 +128,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"passive-scheme tap transmittance (default {_DEFAULTS['T']:g})")
         p.add_argument("--alpha", type=float,
                        help=f"fiber attenuation, dB/km (default {_DEFAULTS['alpha']:g})")
-        p.add_argument("--d", type=float, help="span length, km (default 10)")
+        p.add_argument("--d", type=float, help=f"span length, km (default {_DEFAULTS['d']:g})")
         p.add_argument("--scheme", type=str,
                        help="untrusted | active_switch | passive_bs (sweeps also accept 'all' "
                             "or a comma-separated list)")
         p.add_argument("--out", type=str, help="CSV output path (default: stdout)")
         p.add_argument("--config", type=str, help="key=value file; flags override it")
-        p.add_argument("--seed", type=_parse_int, help="PRNG seed (default 1)")
-        p.add_argument("--m", type=_parse_int, help="monitor sample count (default 1000000)")
+        p.add_argument("--seed", type=_parse_int, help=f"PRNG seed (default {_DEFAULTS['seed']})")
+        p.add_argument("--m", type=_parse_int,
+                       help=f"monitor sample count (default {_DEFAULTS['m']})")
         p.add_argument("--eps-sm", dest="eps_sm", type=float,
                        help=f"monitor failure probability (default {_DEFAULTS['eps_sm']:g})")
-        p.add_argument("--trials", type=_parse_int, help="coverage trials, 0 = skip (default 0)")
-        p.add_argument("--d-start", dest="d_start", type=float, help="sweep start, km (default 0)")
-        p.add_argument("--d-stop", dest="d_stop", type=float, help="sweep stop, km (default 40)")
-        p.add_argument("--d-step", dest="d_step", type=float, help="sweep step, km (default 0.5)")
-        p.add_argument("--T-start", dest="T_start", type=float, help="tap grid start (default 0.01)")
-        p.add_argument("--T-stop", dest="T_stop", type=float, help="tap grid stop (default 0.99)")
-        p.add_argument("--T-step", dest="T_step", type=float, help="tap grid step (default 0.01)")
+        p.add_argument("--trials", type=_parse_int,
+                       help=f"coverage trials, 0 = skip (default {_DEFAULTS['trials']})")
+        for key, what in (("d_start", "sweep start, km"), ("d_stop", "sweep stop, km"),
+                          ("d_step", "sweep step, km"), ("T_start", "tap grid start"),
+                          ("T_stop", "tap grid stop"), ("T_step", "tap grid step")):
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=float,
+                           help=f"{what} (default {_DEFAULTS[key]:g})")
 
     p_key = sub.add_parser("keyrate", help="evaluate one scheme at one parameter point")
     add_shared(p_key)

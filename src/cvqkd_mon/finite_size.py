@@ -112,6 +112,8 @@ def confidence_bound(sigma_hat2: float, m: int,
     """Lower confidence bound sigma_min^2 = sigma_hat^2 - z*sigma_hat^2*sqrt(2/m)."""
     if m < 2:
         raise ValueError(f"need at least 2 monitor samples, got m={m}")
+    if not math.isfinite(sigma_hat2):
+        raise ValueError(f"noise estimate must be finite, got sigma_hat2={sigma_hat2}")
     z = z_from_epsilon(eps_sm)
     delta = z * sigma_hat2 * math.sqrt(2.0) / math.sqrt(m)
     return FiniteSizeEstimate(
@@ -125,9 +127,9 @@ def confidence_bound(sigma_hat2: float, m: int,
 
 
 def _check_source(V: float, chi_s: float, m: int) -> None:
-    if V < 1.0:
+    if not 1.0 <= V < math.inf:
         raise ValueError(f"modulation variance must be >= 1, got V={V}")
-    if chi_s < 0.0:
+    if not 0.0 <= chi_s < math.inf:
         raise ValueError(f"source-noise variance must be >= 0, got chi_s={chi_s}")
     if m < 1:
         raise ValueError(f"need at least 1 sample, got m={m}")

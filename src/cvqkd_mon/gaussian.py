@@ -23,7 +23,6 @@ import numpy as np
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 _SYMMETRY_RTOL = 1e-12   # constructor gate on |m - m.T|
-_STDFORM_RTOL = 1e-10    # gate when reading (a, b, c) off a 4x4 matrix
 _NU_CLAMP = 1e-6         # eigenvalues in [1 - _NU_CLAMP, 1) are treated as 1
 _RESIDUE_TOL = 1e-9      # tolerated real residue of the eigenvalues of Omega@gamma
 
@@ -93,47 +92,6 @@ class CovarianceMatrix:
         return CovarianceMatrix(self.matrix[np.ix_(idx, idx)])
 
 
-@dataclass(frozen=True)
-class TwoModeStdForm:
-    """Standard-form parameters (a, b, c) of a two-mode state.
-
-    Encodes the 4x4 matrix [[a*I, c*sigma_z], [c*sigma_z, b*I]]: own
-    variances a and b, x-x correlation +c and p-p correlation -c.  Round
-    trips losslessly through :meth:`to_covariance` / :meth:`from_covariance`.
-    Physicality is not enforced here beyond a, b >= 1; use the symplectic
-    spectrum for the full check.
-    """
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.a < 1.0 - 1e-9 or self.b < 1.0 - 1e-9:
-            raise ValueError(f"own variances must be >= 1 in shot-noise units, got a={self.a}, b={self.b}")
-
-    def to_covariance(self) -> CovarianceMatrix:
-        m = np.zeros((4, 4))
-        m[0:2, 0:2] = self.a * np.eye(2)
-        m[2:4, 2:4] = self.b * np.eye(2)
-        m[0:2, 2:4] = self.c * SIGMA_Z
-        m[2:4, 0:2] = self.c * SIGMA_Z
-        return CovarianceMatrix(m)
-
-    @classmethod
-    def from_covariance(cls, cm: CovarianceMatrix) -> "TwoModeStdForm":
-        """Read (a, b, c) off a 4x4 matrix, rejecting non-standard shapes."""
-        if cm.n_modes != 2:
-            raise ValueError(f"standard form needs a two-mode state, got {cm.n_modes} modes")
-        m = cm.matrix
-        a, b, c = float(m[0, 0]), float(m[2, 2]), float(m[0, 2])
-        ideal = cls(a=a, b=b, c=c).to_covariance().matrix
-        scale = max(1.0, float(np.abs(m).max()))
-        if float(np.abs(m - ideal).max()) > _STDFORM_RTOL * scale:
-            raise ValueError("matrix is not in two-mode standard form [[a*I, c*sz], [c*sz, b*I]]")
-        return cls(a=a, b=b, c=c)
-
-
 def vacuum_state(n_modes: int = 1) -> CovarianceMatrix:
     """n-mode vacuum: the 2n x 2n identity."""
     if n_modes < 1:
@@ -156,24 +114,23 @@ def epr_state(V: float) -> CovarianceMatrix:
     Both modes have variance V and the correlation block is
     sqrt(V^2 - 1) * sigma_z; V = 1 is the two-mode vacuum.
     """
-    if V < 1.0:
-        raise ValueError(f"EPR variance must be >= 1 shot-noise unit, got V={V}")
-    c = math.sqrt(V * V - 1.0)
-    return TwoModeStdForm(a=V, b=V, c=c).to_covariance()
+    return noisy_source_state(V, 0.0)
 
 
 def noisy_source_state(V: float, chi_s: float) -> CovarianceMatrix:
     """EPR pair whose second (signal) mode carries extra preparation noise.
 
-    Mode 0 keeps variance V; mode 1 has variance V + chi_s; the correlation
-    stays sqrt(V^2 - 1).  chi_s = 0 reproduces :func:`epr_state`.
+    The matrix is [[V*I, c*sigma_z], [c*sigma_z, (V + chi_s)*I]] with
+    c = sqrt(V^2 - 1): mode 0 keeps variance V, mode 1 has V + chi_s and the
+    correlation is untouched.  chi_s = 0 is :func:`epr_state`.
     """
     if V < 1.0:
         raise ValueError(f"EPR variance must be >= 1 shot-noise unit, got V={V}")
     if chi_s < 0.0:
         raise ValueError(f"source-noise variance must be >= 0, got chi_s={chi_s}")
     c = math.sqrt(V * V - 1.0)
-    return TwoModeStdForm(a=V, b=V + chi_s, c=c).to_covariance()
+    eye = np.eye(2)
+    return CovarianceMatrix(np.block([[V * eye, c * SIGMA_Z], [c * SIGMA_Z, (V + chi_s) * eye]]))
 
 
 def apply_beamsplitter(cm: CovarianceMatrix, i: int, j: int, T: float) -> CovarianceMatrix:
@@ -297,8 +254,8 @@ def condition_on_homodyne(cm: CovarianceMatrix, mode: int) -> CovarianceMatrix:
 def mutual_info_het_hom(a: float, b: float, c: float) -> float:
     """Mutual information (bits) when side A is heterodyned and side B homodyned.
 
-    For a two-mode state in standard form (a, b, c) the heterodyne outcome
-    on A leaves B with conditional variance b - c^2/(a + 1), so
+    For a two-mode state [[a*I, c*sigma_z], [c*sigma_z, b*I]] the heterodyne
+    outcome on A leaves B with conditional variance b - c^2/(a + 1), so
 
         I = (1/2) log2[ b / (b - c^2/(a + 1)) ].
     """

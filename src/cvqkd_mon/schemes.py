@@ -1,28 +1,29 @@
 """Secret key rates for coherent-state CVQKD with a noisy source.
 
 Three security models for the same physical link are evaluated, all with
-reverse reconciliation against collective attacks in the asymptotic limit:
+reverse reconciliation against collective attacks in the asymptotic limit.
+They share one pipeline: the source state [[V, c], [c, V + chi_s]] (c the
+EPR correlation) has its signal mode sent through an optional tap
+beamsplitter, whose reflected monitor mode M stays at the (trusted)
+transmitter, and then the fiber.  I(a:b) always comes from this actual
+state.  The scheme fixes three things:
 
-untrusted
-    No source monitor.  The preparation noise chi_s cannot be told apart
-    from channel noise, so the eavesdropper is credited with purifying the
-    whole two-mode state, preparation noise included.  K = beta*I - S.
+=============  =========  ==============  =========
+scheme         tap        Holevo state    duty
+=============  =========  ==============  =========
+untrusted      none       actual          1
+active_switch  none       substitute      1 - r
+passive_bs     T          substitute      1
+=============  =========  ==============  =========
 
-active_switch
-    A random optical switch diverts a fraction r of the pulses to a
-    homodyne monitor, which pins down chi_s.  I(a:b) comes from the actual
-    transmitted state; the Holevo term S(E:b) is evaluated on a substitute
-    state -- a two-mode squeezed vacuum of variance V + chi_s through the
-    same channel -- which upper-bounds Eve tightly without crediting her
-    with the preparation noise.  K = (1-r) * (beta*I - S).
-
-passive_bs
-    A tap beamsplitter of transmittance T sends one output to Bob and
-    keeps the reflected monitor mode M at the (trusted) transmitter.
-    I(a:b) again comes from the actual state; S(E:b) uses the substitute
-    three-mode pipeline (TMSV of variance V + chi_s, plus vacuum, through
-    the same tap and channel) with Eve purifying only the channel, so
-    S(E:b) = S(A,B2,M) - S(A,M|b).  No duty-cycle factor: K = beta*I - S.
+and K = duty * (beta*I(a:b) - S(E:b)).  Without a monitor the preparation
+noise cannot be told apart from channel noise, so Eve is credited with
+purifying the actual state.  A monitor pins chi_s down -- the active switch
+diverts a fraction r of the pulses to a homodyne, the passive tap measures
+M -- so S(E:b) is taken on a substitute state, a two-mode squeezed vacuum
+of variance V + chi_s through the same tap and fiber, which bounds Eve
+tightly without crediting her with the preparation noise.  Behind the tap
+Eve purifies only the channel: S(E:b) = S(A,B,M) - S(A,M|b).
 
 Every evaluation is a pure function of its parameters; sweep drivers may
 run grid points in parallel and merge by index.
@@ -35,7 +36,6 @@ from dataclasses import dataclass, replace
 
 from .gaussian import (
     CovarianceMatrix,
-    TwoModeStdForm,
     apply_beamsplitter,
     apply_fiber_channel,
     condition_on_homodyne,
@@ -79,11 +79,11 @@ class ChannelParams:
     alpha_db_per_km: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.distance_km < 0.0:
+        if not self.distance_km >= 0.0:
             raise ValueError(f"distance must be >= 0 km, got {self.distance_km}")
-        if self.epsilon < 0.0:
+        if not 0.0 <= self.epsilon < math.inf:
             raise ValueError(f"excess noise must be >= 0, got {self.epsilon}")
-        if self.alpha_db_per_km <= 0.0:
+        if not 0.0 < self.alpha_db_per_km < math.inf:
             raise ValueError(f"attenuation must be > 0 dB/km, got {self.alpha_db_per_km}")
 
     @property
@@ -126,9 +126,9 @@ class ProtocolParams:
     T: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.V < 1.0:
+        if not 1.0 <= self.V < math.inf:
             raise ValueError(f"modulation variance must be >= 1, got V={self.V}")
-        if self.chi_s < 0.0:
+        if not 0.0 <= self.chi_s < math.inf:
             raise ValueError(f"source-noise variance must be >= 0, got chi_s={self.chi_s}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"reconciliation efficiency must lie in [0, 1], got beta={self.beta}")
@@ -165,81 +165,29 @@ def _check_transparent(channel: ChannelParams) -> None:
             f"(distance {channel.distance_km} km)")
 
 
-def _holevo_vs_bob(purified: CovarianceMatrix, bob_mode: int) -> float:
-    """S(E:b) when Eve holds the purification of `purified`.
-
-    Global purity gives S(E) = S(purified); after Bob's rank-one homodyne
-    the joint conditional state is again pure, so S(E|b) equals the
-    entropy of the remaining modes conditioned on Bob's outcome.
-    """
-    s_total = von_neumann_entropy(purified)
-    s_cond = von_neumann_entropy(condition_on_homodyne(purified, bob_mode))
-    return s_total - s_cond
-
-
-def _actual_two_mode(p: ProtocolParams) -> TwoModeStdForm:
-    """Transmitted (A, B) state: noisy source, signal mode through the fiber."""
-    st = apply_fiber_channel(noisy_source_state(p.V, p.chi_s), 1,
-                             p.channel.eta, p.channel.epsilon)
-    return TwoModeStdForm.from_covariance(st)
-
-
-def keyrate_untrusted(p: ProtocolParams) -> KeyRateBreakdown:
-    """No-monitor baseline: preparation noise is ascribed to the channel."""
-    _check_transparent(p.channel)
-    std = _actual_two_mode(p)
-    i_ab = mutual_info_het_hom(std.a, std.b, std.c)
-    s_eb = _holevo_vs_bob(std.to_covariance(), 1)
-    key_rate = p.beta * i_ab - s_eb
-    return KeyRateBreakdown(SCHEME_UNTRUSTED, i_ab, s_eb, key_rate)
-
-
-def keyrate_active(p: ProtocolParams) -> KeyRateBreakdown:
-    """Optical-switch monitor with sampling ratio r."""
-    _check_transparent(p.channel)
-    std = _actual_two_mode(p)
-    i_ab = mutual_info_het_hom(std.a, std.b, std.c)
-    substitute = apply_fiber_channel(epr_state(p.V + p.chi_s), 1,
-                                     p.channel.eta, p.channel.epsilon)
-    s_eb = _holevo_vs_bob(substitute, 1)
-    key_rate = (1.0 - p.r) * (p.beta * i_ab - s_eb)
-    return KeyRateBreakdown(SCHEME_ACTIVE, i_ab, s_eb, key_rate)
-
-
-def keyrate_passive(p: ProtocolParams) -> KeyRateBreakdown:
-    """Beamsplitter tap of transmittance T; monitor mode stays trusted."""
-    _check_transparent(p.channel)
-    eta, eps = p.channel.eta, p.channel.epsilon
-
-    actual = tensor(noisy_source_state(p.V, p.chi_s), vacuum_state())
-    actual = apply_beamsplitter(actual, 1, 2, p.T)
-    actual = apply_fiber_channel(actual, 1, eta, eps)
-    std = TwoModeStdForm.from_covariance(actual.reduced([0, 1]))
-    i_ab = mutual_info_het_hom(std.a, std.b, std.c)
-
-    substitute = tensor(epr_state(p.V + p.chi_s), vacuum_state())
-    substitute = apply_beamsplitter(substitute, 1, 2, p.T)
-    substitute = apply_fiber_channel(substitute, 1, eta, eps)
-    s_eb = _holevo_vs_bob(substitute, 1)  # conditional keeps (A, M)
-
-    key_rate = p.beta * i_ab - s_eb
-    return KeyRateBreakdown(SCHEME_PASSIVE, i_ab, s_eb, key_rate)
-
-
-_KEYRATE = {
-    SCHEME_UNTRUSTED: keyrate_untrusted,
-    SCHEME_ACTIVE: keyrate_active,
-    SCHEME_PASSIVE: keyrate_passive,
-}
+def _transmit(source: CovarianceMatrix, p: ProtocolParams, tap: bool) -> CovarianceMatrix:
+    """Signal mode 1 through the optional tap (vacuum enters as mode 2), then the fiber."""
+    if tap:
+        source = apply_beamsplitter(tensor(source, vacuum_state()), 1, 2, p.T)
+    return apply_fiber_channel(source, 1, p.channel.eta, p.channel.epsilon)
 
 
 def evaluate_keyrate(scheme: str, p: ProtocolParams) -> KeyRateBreakdown:
-    """Dispatch on the scheme tag."""
-    try:
-        fn = _KEYRATE[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme tag {scheme!r}; expected one of {SCHEMES}") from None
-    return fn(p)
+    """I(a:b), S(E:b) and the key rate of `scheme` (see the module table)."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme tag {scheme!r}; expected one of {SCHEMES}")
+    _check_transparent(p.channel)
+    tap = scheme == SCHEME_PASSIVE  # even at T=1: passive stays on its three-mode states
+    actual = _transmit(noisy_source_state(p.V, p.chi_s), p, tap)
+    m = actual.matrix
+    i_ab = mutual_info_het_hom(float(m[0, 0]), float(m[2, 2]), float(m[0, 2]))
+    eve = actual if scheme == SCHEME_UNTRUSTED else _transmit(epr_state(p.V + p.chi_s), p, tap)
+    # Eve holds the purification of `eve`, so S(E) = S(eve); after Bob's
+    # rank-one homodyne the joint conditional state is again pure, so S(E|b)
+    # is the entropy of the remaining modes conditioned on Bob's outcome.
+    s_eb = von_neumann_entropy(eve) - von_neumann_entropy(condition_on_homodyne(eve, 1))
+    duty = 1.0 - p.r if scheme == SCHEME_ACTIVE else 1.0
+    return KeyRateBreakdown(scheme, i_ab, s_eb, duty * (p.beta * i_ab - s_eb))
 
 
 def keyrate_at_distance(scheme: str, p: ProtocolParams, d_km: float) -> KeyRateBreakdown:

@@ -40,10 +40,7 @@ from cvqkd_mon import (
     confidence_bound,
     epr_state,
     evaluate_keyrate,
-    keyrate_active,
     keyrate_at_distance,
-    keyrate_passive,
-    keyrate_untrusted,
     mle_sigma2,
     noisy_source_state,
     secure_distance,
@@ -222,7 +219,7 @@ def test_criterion_5_property_suite():
     for d in (0.0, 5.0, 15.0):
         p = ProtocolParams(channel=ChannelParams(distance_km=d, epsilon=0.1),
                            chi_s=0.0, r=0.0)
-        a, u = keyrate_active(p), keyrate_untrusted(p)
+        a, u = evaluate_keyrate(SCHEME_ACTIVE, p), evaluate_keyrate(SCHEME_UNTRUSTED, p)
         worst_eq = max(worst_eq, abs(a.i_ab - u.i_ab), abs(a.s_eb - u.s_eb),
                        abs(a.key_rate - u.key_rate))
     checks.append((worst_eq <= 1e-9, f"chi_s=0 scheme equivalence (worst {worst_eq:.2e})"))
@@ -231,8 +228,8 @@ def test_criterion_5_property_suite():
     worst_red = 0.0
     for d in (0.0, 5.0, 15.0):
         p = ProtocolParams(channel=ChannelParams(distance_km=d, epsilon=0.1), T=1.0)
-        pas = keyrate_passive(p)
-        act = keyrate_active(ProtocolParams(channel=p.channel, T=1.0, r=0.0))
+        pas = evaluate_keyrate(SCHEME_PASSIVE, p)
+        act = evaluate_keyrate(SCHEME_ACTIVE, ProtocolParams(channel=p.channel, T=1.0, r=0.0))
         worst_red = max(worst_red, abs(pas.i_ab - act.i_ab), abs(pas.s_eb - act.s_eb),
                         abs(pas.key_rate - act.key_rate))
     checks.append((worst_red <= 1e-9, f"T=1 passive/active reduction (worst {worst_red:.2e})"))
@@ -241,8 +238,8 @@ def test_criterion_5_property_suite():
     worst_lin = 0.0
     base = reference_params(d_km=3.0)
     for r1, r2 in ((0.0, 0.5), (0.2, 0.9), (0.5, 0.7)):
-        k1 = keyrate_active(ProtocolParams(channel=base.channel, r=r1)).key_rate
-        k2 = keyrate_active(ProtocolParams(channel=base.channel, r=r2)).key_rate
+        k1 = evaluate_keyrate(SCHEME_ACTIVE, ProtocolParams(channel=base.channel, r=r1)).key_rate
+        k2 = evaluate_keyrate(SCHEME_ACTIVE, ProtocolParams(channel=base.channel, r=r2)).key_rate
         worst_lin = max(worst_lin, abs(k1 * (1 - r2) - k2 * (1 - r1)))
     checks.append((worst_lin <= 1e-9, f"(1-r) linearity (worst {worst_lin:.2e})"))
 

@@ -1,9 +1,14 @@
 """Command-line interface: schemas, exit codes, determinism, config handling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cvqkd_mon
 from cvqkd_mon.cli import main
 
 
@@ -269,6 +274,44 @@ class TestOutputAndConfig:
                            str(tmp_path / "nope.cfg"))
         assert code == 1
         assert "config" in err
+
+    NON_FINITE = [
+        (["keyrate", "--V", "nan"], "modulation variance"),
+        (["keyrate", "--V", "inf"], "modulation variance"),
+        (["keyrate", "--chi-s", "nan"], "source-noise variance"),
+        (["keyrate", "--chi-s", "inf"], "source-noise variance"),
+        (["keyrate", "--eps", "nan"], "excess noise"),
+        (["keyrate", "--eps", "inf"], "excess noise"),
+        (["keyrate", "--alpha", "nan"], "attenuation"),
+        (["keyrate", "--alpha", "inf"], "attenuation"),
+        (["keyrate", "--d", "nan"], "distance must be"),
+        (["finite-size", "--V", "nan"], "modulation variance"),
+        (["finite-size", "--V", "inf"], "modulation variance"),
+        (["finite-size", "--chi-s", "nan"], "source-noise variance"),
+        (["finite-size", "--chi-s", "inf"], "source-noise variance"),
+        (["finite-size", "--V", "nan", "--m", "1000", "--trials", "100"], "modulation variance"),
+        (["finite-size", "--sigma-hat2", "nan"], "must be finite"),
+        (["finite-size", "--sigma-hat2", "inf"], "must be finite"),
+        (["finite-size", "--sigma-hat2=-inf"], "must be finite"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", NON_FINITE,
+                             ids=["-".join(a.lstrip("-") for a in argv) for argv, _ in NON_FINITE])
+    def test_non_finite_input_exits_one(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_module_entry_point_runs_without_warning(self):
+        src = str(Path(cvqkd_mon.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "cvqkd_mon.cli", "keyrate", "--d", "2"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("scheme,")
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_scientific_notation_integer_flags(self, capsys):
         code, out, _ = run(capsys, "finite-size", "--sigma-hat2", "0.1",

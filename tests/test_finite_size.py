@@ -133,6 +133,11 @@ class TestConfidenceBound:
         with pytest.raises(ValueError):
             confidence_bound(0.1, 1, 1e-10)
 
+    @pytest.mark.parametrize("sigma_hat2", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_estimate(self, sigma_hat2):
+        with pytest.raises(ValueError, match="must be finite"):
+            confidence_bound(sigma_hat2, 1000, 1e-10)
+
 
 class TestSimulateMonitor:
     def test_deterministic_for_fixed_seed(self):
@@ -175,6 +180,19 @@ class TestSimulatedSigma2:
         args = dict(V=2.0, chi_s=0.05, m=64, seed=5) | bad
         with pytest.raises(ValueError):
             simulated_sigma2(**args)
+
+
+@pytest.mark.parametrize("bad", [
+    {"V": math.nan}, {"V": math.inf}, {"chi_s": math.nan}, {"chi_s": math.inf},
+], ids=["V=nan", "V=inf", "chi_s=nan", "chi_s=inf"])
+@pytest.mark.parametrize("entry", [simulate_monitor, simulated_sigma2, coverage_diagnostic],
+                         ids=lambda fn: fn.__name__)
+def test_source_rejects_non_finite(entry, bad):
+    args = dict(V=2.0, chi_s=0.05, m=64, seed=5)
+    if entry is coverage_diagnostic:
+        args |= dict(eps_sm=0.01, trials=100)
+    with pytest.raises(ValueError, match="variance must be"):
+        entry(**(args | bad))
 
 
 def looped_coverage(V, chi_s, m, eps_sm, trials, seed) -> CoverageReport:

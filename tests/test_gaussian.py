@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cvqkd_mon import (
     CovarianceMatrix,
-    TwoModeStdForm,
     UnphysicalStateError,
     apply_beamsplitter,
     apply_fiber_channel,
@@ -80,23 +79,6 @@ class TestCovarianceMatrix:
     def test_mode_index_validation(self):
         with pytest.raises(ValueError):
             vacuum_state(2).mode_block(2)
-
-
-class TestTwoModeStdForm:
-    def test_roundtrip_is_lossless(self):
-        std = TwoModeStdForm(a=3.0, b=4.5, c=2.25)
-        back = TwoModeStdForm.from_covariance(std.to_covariance())
-        assert back == std
-
-    def test_rejects_non_standard_matrix(self):
-        m = epr_state(5.0).matrix.copy()
-        m[0, 3] = m[3, 0] = 0.5   # x-p cross correlation is not standard form
-        with pytest.raises(ValueError, match="standard form"):
-            TwoModeStdForm.from_covariance(CovarianceMatrix(m))
-
-    def test_rejects_sub_vacuum_variance(self):
-        with pytest.raises(ValueError):
-            TwoModeStdForm(a=0.8, b=2.0, c=0.0)
 
 
 # ------------------------------------------------------------ constructors

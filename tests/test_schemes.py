@@ -20,10 +20,7 @@ from cvqkd_mon import (
     apply_beamsplitter,
     distance_to_eta,
     evaluate_keyrate,
-    keyrate_active,
     keyrate_at_distance,
-    keyrate_passive,
-    keyrate_untrusted,
     noisy_source_state,
     optimize_T,
     secure_distance,
@@ -76,6 +73,19 @@ class TestChannelParams:
         ch = ChannelParams.from_transmittance(0.25, epsilon=0.05)
         assert math.isclose(ch.eta, 0.25, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"distance_km": math.nan}, "distance"), ({"epsilon": math.nan}, "excess noise"),
+        ({"epsilon": math.inf}, "excess noise"), ({"alpha_db_per_km": math.nan}, "attenuation"),
+        ({"alpha_db_per_km": math.inf}, "attenuation"),
+    ], ids=["distance=nan", "epsilon=nan", "epsilon=inf", "alpha=nan", "alpha=inf"])
+    def test_rejects_non_finite(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            ChannelParams(**({"distance_km": 1.0} | kw))
+
+    def test_infinite_distance_is_opaque(self):
+        with pytest.raises(ChannelOpaqueError):
+            evaluate_keyrate(SCHEME_PASSIVE, params(d_km=math.inf))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ChannelParams(distance_km=-1.0, epsilon=0.1)
@@ -91,6 +101,7 @@ class TestProtocolParams:
     @pytest.mark.parametrize("kw", [
         {"V": 0.5}, {"chi_s": -0.1}, {"beta": 1.5}, {"beta": -0.1},
         {"r": 1.0}, {"r": -0.2}, {"T": 0.0}, {"T": 1.5},
+        {"V": math.nan}, {"V": math.inf}, {"chi_s": math.nan}, {"chi_s": math.inf},
     ])
     def test_rejects_out_of_range(self, kw):
         with pytest.raises(ValueError):
@@ -117,14 +128,14 @@ class TestKeyRateBreakdown:
 class TestUntrusted:
     def test_clean_lossless_limit(self):
         p = params(d_km=0.0, eps=0.0, chi_s=0.0, V=40.0, beta=0.8)
-        bd = keyrate_untrusted(p)
+        bd = evaluate_keyrate(SCHEME_UNTRUSTED, p)
         assert abs(bd.s_eb) <= 1e-9
         assert math.isclose(bd.key_rate, 0.8 * 0.5 * math.log2(40.0), rel_tol=1e-9)
         assert bd.secure
 
     def test_matches_scalar_oracle_at_reference_point(self):
         p = params(d_km=10.0)
-        bd = keyrate_untrusted(p)
+        bd = evaluate_keyrate(SCHEME_UNTRUSTED, p)
         i_ab, s_eb, key = untrusted_keyrate_scalar(40.0, 0.1, 0.8,
                                                    distance_to_eta(10.0), 0.1)
         assert math.isclose(bd.i_ab, i_ab, rel_tol=1e-12)
@@ -137,7 +148,7 @@ class TestUntrusted:
 
     def test_scalar_oracle_agreement_across_grid(self):
         for d in [0.0, 1.0, 5.0, 20.0]:
-            bd = keyrate_untrusted(params(d_km=d))
+            bd = evaluate_keyrate(SCHEME_UNTRUSTED, params(d_km=d))
             _, _, key = untrusted_keyrate_scalar(40.0, 0.1, 0.8, distance_to_eta(d), 0.1)
             assert math.isclose(bd.key_rate, key, rel_tol=1e-11, abs_tol=1e-12)
 
@@ -146,8 +157,8 @@ class TestActive:
     def test_zero_source_noise_equals_untrusted(self):
         for d in [0.0, 5.0, 15.0]:
             p = params(d_km=d, chi_s=0.0, r=0.0)
-            a = keyrate_active(p)
-            u = keyrate_untrusted(p)
+            a = evaluate_keyrate(SCHEME_ACTIVE, p)
+            u = evaluate_keyrate(SCHEME_UNTRUSTED, p)
             assert math.isclose(a.i_ab, u.i_ab, abs_tol=1e-9)
             assert math.isclose(a.s_eb, u.s_eb, abs_tol=1e-9)
             assert math.isclose(a.key_rate, u.key_rate, abs_tol=1e-9)
@@ -155,7 +166,7 @@ class TestActive:
     def test_duty_cycle_scaling(self):
         rates = []
         for r in [0.0, 0.3, 0.5, 0.9]:
-            bd = keyrate_active(params(d_km=2.0, r=r))
+            bd = evaluate_keyrate(SCHEME_ACTIVE, params(d_km=2.0, r=r))
             rates.append(bd.key_rate / (1.0 - r))
         assert np.allclose(rates, rates[0], atol=1e-12)
 
@@ -163,8 +174,8 @@ class TestActive:
     @given(st.floats(min_value=0.0, max_value=0.9),
            st.floats(min_value=0.0, max_value=0.9))
     def test_duty_cycle_linearity(self, r1, r2):
-        k1 = keyrate_active(params(d_km=3.0, r=r1)).key_rate
-        k2 = keyrate_active(params(d_km=3.0, r=r2)).key_rate
+        k1 = evaluate_keyrate(SCHEME_ACTIVE, params(d_km=3.0, r=r1)).key_rate
+        k2 = evaluate_keyrate(SCHEME_ACTIVE, params(d_km=3.0, r=r2)).key_rate
         assert math.isclose(k1 * (1.0 - r2), k2 * (1.0 - r1), abs_tol=1e-9)
 
     def test_closed_form_route_agreement_across_grid(self):
@@ -172,7 +183,7 @@ class TestActive:
         for chi_s in [0.0, 0.1, 2.0]:
             for r in [0.0, 0.5]:
                 for d in [0.0, 1.0, 5.0, 20.0, 50.0]:
-                    bd = keyrate_active(params(d_km=d, chi_s=chi_s, r=r))
+                    bd = evaluate_keyrate(SCHEME_ACTIVE, params(d_km=d, chi_s=chi_s, r=r))
                     ref = active_keyrate_scalar(40.0, chi_s, 0.8, r, distance_to_eta(d), 0.1)
                     for got, want in zip((bd.i_ab, bd.s_eb, bd.key_rate), ref):
                         assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-12)
@@ -187,8 +198,8 @@ class TestPassive:
     def test_transparent_tap_reduces_to_active_without_sampling(self):
         for d in [0.0, 5.0, 15.0]:
             p = params(d_km=d, T=1.0)
-            pas = keyrate_passive(p)
-            act = keyrate_active(replace(p, r=0.0))
+            pas = evaluate_keyrate(SCHEME_PASSIVE, p)
+            act = evaluate_keyrate(SCHEME_ACTIVE, replace(p, r=0.0))
             assert math.isclose(pas.i_ab, act.i_ab, abs_tol=1e-9)
             assert math.isclose(pas.s_eb, act.s_eb, abs_tol=1e-9)
             assert math.isclose(pas.key_rate, act.key_rate, abs_tol=1e-9)
@@ -196,7 +207,7 @@ class TestPassive:
     @pytest.mark.parametrize("T", [0.3, 0.7])
     def test_clean_lossless_limit(self, T):
         p = params(d_km=0.0, eps=0.0, chi_s=0.0, T=T)
-        bd = keyrate_passive(p)
+        bd = evaluate_keyrate(SCHEME_PASSIVE, p)
         assert abs(bd.s_eb) <= 1e-9
         assert math.isclose(bd.key_rate, p.beta * bd.i_ab, abs_tol=1e-9)
         assert bd.key_rate >= 0.0
@@ -210,7 +221,7 @@ class TestPassive:
         for chi_s in [0.0, 0.1, 2.0]:
             for T in [0.05, 0.1, 0.5, 0.9, 1.0]:
                 for d in [0.0, 1.0, 5.0, 20.0, 50.0]:
-                    bd = keyrate_passive(params(d_km=d, chi_s=chi_s, T=T))
+                    bd = evaluate_keyrate(SCHEME_PASSIVE, params(d_km=d, chi_s=chi_s, T=T))
                     ref = passive_keyrate_scalar(40.0, chi_s, 0.8, T, distance_to_eta(d), 0.1)
                     for got, want in zip((bd.i_ab, bd.s_eb, bd.key_rate), ref):
                         assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-11)
@@ -285,7 +296,7 @@ class TestSchemeRelations:
 
     def test_channel_opaque_guard(self):
         with pytest.raises(ChannelOpaqueError, match="channel opaque"):
-            keyrate_untrusted(params(d_km=320.0))
+            evaluate_keyrate(SCHEME_UNTRUSTED, params(d_km=320.0))
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
