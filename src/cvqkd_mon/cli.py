@@ -2,20 +2,27 @@
 
 Subcommands
 -----------
-keyrate         one scheme at one parameter point
+keyrate         one scheme at one parameter point; reads the record flags
+                --V --chi-s --eps --beta --r --T --alpha --d and --scheme
                 CSV: scheme,d_km,eta,chi,i_ab,s_eb,key_rate,secure
-sweep-distance  key rate vs distance for one or more schemes
+sweep-distance  key rate vs distance for one or more schemes; reads the
+                record flags, --scheme and --d-start --d-stop --d-step
                 CSV: scheme,d_km,key_rate
 grid-T          passive-scheme key rate over a (T, d) grid, plus a footer
-                table of secure distances per tap value
+                table of secure distances per tap value; reads the record
+                flags, the --d-* grid and --T-start --T-stop --T-step
                 CSV: T,d_km,key_rate then T,secure_distance_km
 finite-size     confidence bound for the monitored noise variance, either
                 analytic (--sigma-hat2) or simulated (--V --chi-s --m --seed),
-                optionally with a Monte Carlo coverage footer (--trials)
+                optionally with a Monte Carlo coverage footer (--trials),
+                at failure probability --eps-sm
                 CSV: sigma_hat2,m,eps_sm,z,delta_chi_s,sigma_min2   (analytic)
                      V,chi_s,m,seed,eps_sm,sigma_hat2,z,delta_chi_s,sigma_min2
                      then trials,failure_rate,mean_sigma_hat2,std_sigma_hat2,
                      assumed_dispersion,moment_dispersion            (simulated)
+
+Every subcommand also takes --out and --config; any other flag exits 1 with
+"unrecognized arguments".
 
 All floats are serialized with 9 significant digits and '.' decimals, rows
 are newline-delimited and emitted in grid order, so output bytes are
@@ -24,8 +31,8 @@ when given (summary on stdout), else to stdout (summary on stderr).
 
 Exit codes: 0 success/secure, 2 evaluated but insecure, 1 invalid input.
 
-A plain key=value config file (--config) may set any flag; command-line
-flags override it.
+A plain key=value config file (--config) may set any flag of its
+subcommand except --config; command-line flags override it.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .finite_size import (
@@ -66,21 +73,49 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-_PROTOCOL = {f.name: f.default for f in fields(ProtocolParams) if f.name != "channel"}
-_CHANNEL = {f.name: f.default for f in fields(ChannelParams)}
+def _integer(text: str) -> int:
+    """Integer flag value; accepts scientific notation like 1e8."""
+    try:
+        return int(text)
+    except ValueError:
+        value = float(text)
+        if not value.is_integer():  # also rejects nan and inf
+            raise ValueError(f"expected an integer, got {text!r}")
+        return int(value)
 
-_DEFAULTS: dict[str, object] = {
-    **_PROTOCOL, "eps": _CHANNEL["epsilon"], "alpha": _CHANNEL["alpha_db_per_km"],
-    "d": 10.0, "scheme": None, "out": None, "seed": 1,
-    "m": 1_000_000, "eps_sm": DEFAULT_EPSILON_SM, "trials": 0, "sigma_hat2": None,
-    "d_start": 0.0, "d_stop": 40.0, "d_step": 0.5,
-    "T_start": 0.01, "T_stop": 0.99, "T_step": 0.01,
+
+_integer.__name__ = "integer"  # argparse names the type in "invalid integer value"
+
+# Every flag, once: dest -> (type, default, help).  The flag is "--" + dest
+# with "_" as "-"; a default of None is shown in no help line.
+_FLAGS: dict[str, tuple] = {
+    "V": (float, ProtocolParams.V, "EPR-equivalent modulation variance"),
+    "chi_s": (float, ProtocolParams.chi_s, "source-noise variance"),
+    "eps": (float, ChannelParams.epsilon, "channel excess noise"),
+    "beta": (float, ProtocolParams.beta, "reconciliation efficiency"),
+    "r": (float, ProtocolParams.r, "active-scheme sampling ratio"),
+    "T": (float, ProtocolParams.T, "passive-scheme tap transmittance"),
+    "alpha": (float, ChannelParams.alpha_db_per_km, "fiber attenuation, dB/km"),
+    "d": (float, 10.0, "span length, km"),
+    "scheme": (str, None, "untrusted | active_switch | passive_bs (sweeps also accept "
+                          "'all' or a comma-separated list)"),
+    "out": (str, None, "CSV output path (default: stdout)"),
+    "config": (str, None, "key=value file; flags override it"),
+    "seed": (_integer, 1, "PRNG seed"),
+    "m": (_integer, 1_000_000, "monitor sample count"),
+    "eps_sm": (float, DEFAULT_EPSILON_SM, "monitor failure probability"),
+    "trials": (_integer, 0, "coverage trials, 0 = skip"),
+    "d_start": (float, 0.0, "sweep start, km"),
+    "d_stop": (float, 40.0, "sweep stop, km"),
+    "d_step": (float, 0.5, "sweep step, km"),
+    "T_start": (float, 0.01, "tap grid start"),
+    "T_stop": (float, 0.99, "tap grid stop"),
+    "T_step": (float, 0.01, "tap grid step"),
+    "sigma_hat2": (float, None, "analytic mode: use this estimate instead of simulating"),
 }
 
-_FLOAT_KEYS = {"V", "chi_s", "eps", "beta", "r", "T", "alpha", "d", "eps_sm",
-               "sigma_hat2", "d_start", "d_stop", "d_step",
-               "T_start", "T_stop", "T_step"}
-_INT_KEYS = {"seed", "m", "trials"}
+# Most points a grid axis may have; checked from the count, before any allocation.
+_MAX_GRID_POINTS = 1_000_000
 
 _SCHEME_ALIASES = {
     "untrusted": SCHEME_UNTRUSTED,
@@ -91,15 +126,8 @@ _SCHEME_ALIASES = {
 }
 
 
-def _parse_int(text: str) -> int:
-    """Integer flag value; accepts scientific notation like 1e8."""
-    try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-        if value != int(value):
-            raise ValueError(f"expected an integer, got {text!r}")
-        return int(value)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _fmt(value: float) -> str:
@@ -112,64 +140,24 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Key-rate and source-monitoring analysis "
                                  "for coherent-state CVQKD with a noisy source.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add_shared(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--V", type=float,
-                       help=f"EPR-equivalent modulation variance (default {_DEFAULTS['V']:g})")
-        p.add_argument("--chi-s", dest="chi_s", type=float,
-                       help=f"source-noise variance (default {_DEFAULTS['chi_s']:g})")
-        p.add_argument("--eps", type=float,
-                       help=f"channel excess noise (default {_DEFAULTS['eps']:g})")
-        p.add_argument("--beta", type=float,
-                       help=f"reconciliation efficiency (default {_DEFAULTS['beta']:g})")
-        p.add_argument("--r", type=float,
-                       help=f"active-scheme sampling ratio (default {_DEFAULTS['r']:g})")
-        p.add_argument("--T", type=float,
-                       help=f"passive-scheme tap transmittance (default {_DEFAULTS['T']:g})")
-        p.add_argument("--alpha", type=float,
-                       help=f"fiber attenuation, dB/km (default {_DEFAULTS['alpha']:g})")
-        p.add_argument("--d", type=float, help=f"span length, km (default {_DEFAULTS['d']:g})")
-        p.add_argument("--scheme", type=str,
-                       help="untrusted | active_switch | passive_bs (sweeps also accept 'all' "
-                            "or a comma-separated list)")
-        p.add_argument("--out", type=str, help="CSV output path (default: stdout)")
-        p.add_argument("--config", type=str, help="key=value file; flags override it")
-        p.add_argument("--seed", type=_parse_int, help=f"PRNG seed (default {_DEFAULTS['seed']})")
-        p.add_argument("--m", type=_parse_int,
-                       help=f"monitor sample count (default {_DEFAULTS['m']})")
-        p.add_argument("--eps-sm", dest="eps_sm", type=float,
-                       help=f"monitor failure probability (default {_DEFAULTS['eps_sm']:g})")
-        p.add_argument("--trials", type=_parse_int,
-                       help=f"coverage trials, 0 = skip (default {_DEFAULTS['trials']})")
-        for key, what in (("d_start", "sweep start, km"), ("d_stop", "sweep stop, km"),
-                          ("d_step", "sweep step, km"), ("T_start", "tap grid start"),
-                          ("T_stop", "tap grid stop"), ("T_step", "tap grid step")):
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=float,
-                           help=f"{what} (default {_DEFAULTS[key]:g})")
-
-    p_key = sub.add_parser("keyrate", help="evaluate one scheme at one parameter point")
-    add_shared(p_key)
-
-    p_sweep = sub.add_parser("sweep-distance", help="key rate vs distance per scheme")
-    add_shared(p_sweep)
-
-    p_grid = sub.add_parser("grid-T", help="passive key rate over a (T, d) grid")
-    add_shared(p_grid)
-
-    p_fs = sub.add_parser("finite-size", help="confidence bound for the monitored noise variance")
-    add_shared(p_fs)
-    p_fs.add_argument("--sigma-hat2", dest="sigma_hat2", type=float,
-                      help="analytic mode: use this estimate instead of simulating")
-
+    for cmd, (text, flags, _handler) in _COMMANDS.items():
+        # No abbreviations: "finite-size --eps" must not turn into --eps-sm.
+        p = sub.add_parser(cmd, help=text, allow_abbrev=False)
+        for key, (kind, default, help_text) in _FLAGS.items():
+            if key in flags:
+                if default is not None:
+                    shown = f"{default:g}" if kind is float else default
+                    help_text += f" (default {shown})"
+                p.add_argument(_flag(key), dest=key, type=kind, help=help_text)
     return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, flags: frozenset[str]) -> dict[str, object]:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise _CliError(f"cannot read config file: {exc}")
-    entries: dict[str, str] = {}
+    entries: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -177,34 +165,25 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise _CliError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = line.split("=", 1)
-        key = key.strip().replace("-", "_")
-        if key not in _DEFAULTS:
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in flags or key == "config":
             raise _CliError(f"{path}:{lineno}: unknown option {key!r}")
-        entries[key] = value.strip()
+        kind = _FLAGS[key][0]
+        try:
+            entries[key] = kind(value)
+        except ValueError:
+            raise _CliError(f"{path}:{lineno}: argument {_flag(key)}: "
+                            f"invalid {kind.__name__} value: {value!r}")
     return entries
 
 
-def _convert(key: str, text: str) -> object:
-    try:
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _INT_KEYS:
-            return _parse_int(text)
-        return text
-    except ValueError:
-        raise _CliError(f"invalid value for {key}: {text!r}")
-
-
-def _merge(args: argparse.Namespace) -> dict[str, object]:
+def _merge(args: argparse.Namespace, flags: frozenset[str]) -> dict[str, object]:
     """Hard defaults, overridden by the config file, overridden by flags."""
-    cfg = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        for key, text in _load_config(args.config).items():
-            cfg[key] = _convert(key, text)
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
+    cfg = {key: _FLAGS[key][1] for key in flags}
+    if args.config:
+        cfg.update(_load_config(args.config, flags))
+    cfg.update((key, value) for key, value in vars(args).items()
+               if key in flags and value is not None)
     return cfg
 
 
@@ -236,13 +215,22 @@ def _parse_schemes(text: str | None, default: str, allow_multi: bool) -> list[st
     return tags
 
 
-def _grid(start: float, stop: float, step: float, what: str) -> list[float]:
+def _grid(cfg: dict, axis: str) -> list[float]:
+    """The points --{axis}-start, +step, ... up to --{axis}-stop."""
+    start, stop, step = (cfg[f"{axis}_{end}"] for end in ("start", "stop", "step"))
+    for end, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise _CliError(f"--{axis}-{end} must be finite, got {value}")
     if step <= 0.0:
-        raise _CliError(f"{what} step must be positive, got {step}")
+        raise _CliError(f"--{axis}-step must be positive, got {step}")
     if stop < start:
-        raise _CliError(f"{what} range is empty: start {start} > stop {stop}")
-    count = int(math.floor((stop - start) / step + 1e-9))
-    return [start + k * step for k in range(count + 1)]
+        raise _CliError(f"--{axis}-start/--{axis}-stop range is empty: "
+                        f"start {start} > stop {stop}")
+    # (stop - start) / step may overflow to inf, which the comparison rejects.
+    intervals = (stop - start) / step + 1e-9
+    if not intervals < _MAX_GRID_POINTS:
+        raise _CliError(f"--{axis}-step {step} gives more than {_MAX_GRID_POINTS} points")
+    return [start + k * step for k in range(math.floor(intervals) + 1)]
 
 
 def _emit(cfg: dict, lines: list[str], summary: str) -> None:
@@ -277,7 +265,7 @@ def cmd_keyrate(cfg: dict) -> int:
 def cmd_sweep_distance(cfg: dict) -> int:
     schemes = _parse_schemes(cfg["scheme"], default="all", allow_multi=True)
     params = _protocol(cfg)
-    distances = _grid(cfg["d_start"], cfg["d_stop"], cfg["d_step"], "distance")
+    distances = _grid(cfg, "d")
     lines = ["scheme,d_km,key_rate"]
     for scheme in schemes:
         for d in distances:
@@ -289,11 +277,11 @@ def cmd_sweep_distance(cfg: dict) -> int:
 
 
 def cmd_grid_t(cfg: dict) -> int:
-    taps = _grid(cfg["T_start"], cfg["T_stop"], cfg["T_step"], "tap")
+    taps = _grid(cfg, "T")
     if taps[0] < 0.01 - 1e-12 or taps[-1] > 0.99 + 1e-12:
         raise _CliError(f"tap grid must stay within [0.01, 0.99], got "
                         f"[{taps[0]}, {taps[-1]}]")
-    distances = _grid(cfg["d_start"], cfg["d_stop"], cfg["d_step"], "distance")
+    distances = _grid(cfg, "d")
     params = _protocol(cfg)
     lines = ["T,d_km,key_rate"]
     for T in taps:
@@ -350,11 +338,22 @@ def cmd_finite_size(cfg: dict) -> int:
     return 0
 
 
-_DISPATCH = {
-    "keyrate": cmd_keyrate,
-    "sweep-distance": cmd_sweep_distance,
-    "grid-T": cmd_grid_t,
-    "finite-size": cmd_finite_size,
+_RECORD = ("V", "chi_s", "eps", "beta", "r", "T", "alpha", "d")  # what _protocol reads
+_D_GRID = ("d_start", "d_stop", "d_step")
+
+# Subcommand -> (help, the cfg keys its handler reads, handler).
+_COMMANDS = {
+    "keyrate": ("evaluate one scheme at one parameter point",
+                frozenset((*_RECORD, "scheme", "out", "config")), cmd_keyrate),
+    "sweep-distance": ("key rate vs distance per scheme",
+                       frozenset((*_RECORD, "scheme", "out", "config", *_D_GRID)),
+                       cmd_sweep_distance),
+    "grid-T": ("passive key rate over a (T, d) grid",
+               frozenset((*_RECORD, "out", "config", *_D_GRID, "T_start", "T_stop", "T_step")),
+               cmd_grid_t),
+    "finite-size": ("confidence bound for the monitored noise variance",
+                    frozenset(("V", "chi_s", "out", "config", "seed", "m", "eps_sm",
+                               "trials", "sigma_hat2")), cmd_finite_size),
 }
 
 
@@ -362,12 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _merge(args)
-        return _DISPATCH[args.cmd](cfg)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
+        _help, flags, handler = _COMMANDS[args.cmd]
+        return handler(_merge(args, flags))
+    except (ValueError, ArithmeticError, OSError) as exc:  # _CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -46,10 +46,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 class CovarianceMatrix:
     """Covariance matrix of a zero-mean Gaussian state.
 
-    The constructor checks squareness, even dimension and symmetry (to
-    1e-12 relative), then stores a symmetrized read-only copy.  Physicality
-    (symplectic spectrum >= 1) is not a constructor gate; it is asserted by
-    the consumers that require it, e.g. :func:`von_neumann_entropy`.
+    The constructor checks squareness, even dimension, finite entries and
+    symmetry (to 1e-12 relative), then stores a symmetrized read-only copy.
+    Physicality (symplectic spectrum >= 1) is not a constructor gate; it is
+    asserted by the consumers that require it, e.g. :func:`von_neumann_entropy`.
     """
 
     matrix: np.ndarray
@@ -58,7 +58,10 @@ class CovarianceMatrix:
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] == 0:
             raise ValueError(f"covariance matrix must be square with even dimension, got shape {m.shape}")
-        scale = max(1.0, float(np.abs(m).max()))
+        peak = float(np.abs(m).max())  # nan or inf exactly when some entry is
+        if not peak < math.inf:
+            raise ValueError("covariance matrix entries must be finite")
+        scale = max(1.0, peak)
         if float(np.abs(m - m.T).max()) > _SYMMETRY_RTOL * scale:
             raise ValueError("covariance matrix is not symmetric within 1e-12 relative tolerance")
         m = (m + m.T) / 2.0
@@ -124,10 +127,10 @@ def noisy_source_state(V: float, chi_s: float) -> CovarianceMatrix:
     c = sqrt(V^2 - 1): mode 0 keeps variance V, mode 1 has V + chi_s and the
     correlation is untouched.  chi_s = 0 is :func:`epr_state`.
     """
-    if V < 1.0:
-        raise ValueError(f"EPR variance must be >= 1 shot-noise unit, got V={V}")
-    if chi_s < 0.0:
-        raise ValueError(f"source-noise variance must be >= 0, got chi_s={chi_s}")
+    if not 1.0 <= V < math.inf:
+        raise ValueError(f"EPR variance must be finite and >= 1 shot-noise unit, got V={V}")
+    if not 0.0 <= chi_s < math.inf:
+        raise ValueError(f"source-noise variance must be finite and >= 0, got chi_s={chi_s}")
     c = math.sqrt(V * V - 1.0)
     eye = np.eye(2)
     return CovarianceMatrix(np.block([[V * eye, c * SIGMA_Z], [c * SIGMA_Z, (V + chi_s) * eye]]))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cvqkd_mon
+from cvqkd_mon import cli
 from cvqkd_mon.cli import main
 
 
@@ -318,3 +319,158 @@ class TestOutputAndConfig:
                            "--m", "1e6")
         assert code == 0
         assert csv_rows(out)[1][1] == "1000000"
+
+
+# -------------------------------------------------------------- flag sets
+
+# Help text of every flag, as the CLI has always printed it.
+FLAG_HELP = {
+    "--help": "show this help message and exit",
+    "--V": "EPR-equivalent modulation variance (default 40)",
+    "--chi-s": "source-noise variance (default 0.1)",
+    "--eps": "channel excess noise (default 0.1)",
+    "--beta": "reconciliation efficiency (default 0.8)",
+    "--r": "active-scheme sampling ratio (default 0.5)",
+    "--T": "passive-scheme tap transmittance (default 0.5)",
+    "--alpha": "fiber attenuation, dB/km (default 0.2)",
+    "--d": "span length, km (default 10)",
+    "--scheme": "untrusted | active_switch | passive_bs (sweeps also accept 'all' "
+                "or a comma-separated list)",
+    "--out": "CSV output path (default: stdout)",
+    "--config": "key=value file; flags override it",
+    "--seed": "PRNG seed (default 1)",
+    "--m": "monitor sample count (default 1000000)",
+    "--eps-sm": "monitor failure probability (default 1e-10)",
+    "--trials": "coverage trials, 0 = skip (default 0)",
+    "--d-start": "sweep start, km (default 0)",
+    "--d-stop": "sweep stop, km (default 40)",
+    "--d-step": "sweep step, km (default 0.5)",
+    "--T-start": "tap grid start (default 0.01)",
+    "--T-stop": "tap grid stop (default 0.99)",
+    "--T-step": "tap grid step (default 0.01)",
+    "--sigma-hat2": "analytic mode: use this estimate instead of simulating",
+}
+
+RECORD = {"--V", "--chi-s", "--eps", "--beta", "--r", "--T", "--alpha", "--d"}
+IO = {"--out", "--config"}
+D_GRID = {"--d-start", "--d-stop", "--d-step"}
+TAKES = {
+    "keyrate": RECORD | IO | {"--scheme"},
+    "sweep-distance": RECORD | IO | {"--scheme"} | D_GRID,
+    "grid-T": RECORD | IO | D_GRID | {"--T-start", "--T-stop", "--T-step"},
+    "finite-size": IO | {"--V", "--chi-s", "--seed", "--m", "--eps-sm", "--trials",
+                         "--sigma-hat2"},
+}
+DROPPED = [(cmd, flag) for cmd, takes in TAKES.items()
+           for flag in FLAG_HELP if flag not in takes | {"--help", "--sigma-hat2"}]
+
+
+def help_entries(text):
+    """{flag: help text} from an argparse help screen, whitespace collapsed."""
+    entries, flag = {}, None
+    for line in text.split("options:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            invocation, _, rest = line.strip().partition("  ")
+            flag = invocation.split(",")[-1].split()[0]
+            entries[flag] = rest.strip()
+        else:
+            entries[flag] = f"{entries[flag]} {line.strip()}".strip()
+    return entries
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("cmd, flag", DROPPED, ids=[f"{c}{f}" for c, f in DROPPED])
+    def test_flag_not_read_is_rejected(self, capsys, cmd, flag):
+        # finite-size --eps also shows that no flag is taken as an abbreviation of --eps-sm
+        code, out, err = run(capsys, cmd, flag, "1")
+        assert code == 1
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 1" in err
+
+    @pytest.mark.parametrize("cmd, key", [("keyrate", "seed"), ("sweep-distance", "T_step"),
+                                          ("grid-T", "scheme"), ("finite-size", "d")])
+    def test_config_key_of_another_subcommand_rejected(self, capsys, tmp_path, cmd, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# shared file\n{key} = 1\n")
+        code, out, err = run(capsys, cmd, "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert f"{cfg}:2: unknown option {key!r}" in err
+
+    @pytest.mark.parametrize("cmd", TAKES)
+    def test_help_lists_exactly_its_flags(self, capsys, cmd):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--help"])
+        assert exc.value.code == 0
+        entries = help_entries(capsys.readouterr().out)
+        assert set(entries) == TAKES[cmd] | {"--help"}
+        assert entries == {flag: FLAG_HELP[flag] for flag in entries}
+
+    BAD_INTEGERS = [
+        ("--m", "1.5"), ("--m", "nan"), ("--m", "abc"), ("--trials", "inf"),
+        ("--trials", "-inf"), ("--seed", "1e400"), ("--seed", "2.5e0"),
+    ]
+
+    @pytest.mark.parametrize("flag, value", BAD_INTEGERS,
+                             ids=[f"{f}={v}" for f, v in BAD_INTEGERS])
+    def test_bad_integer_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "finite-size", f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: argument {flag}: invalid integer value: {value!r}\n"
+
+    @pytest.mark.parametrize("flag, value", BAD_INTEGERS,
+                             ids=[f"{f}={v}" for f, v in BAD_INTEGERS])
+    def test_bad_integer_config_value(self, capsys, tmp_path, flag, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {value}\n")
+        code, out, err = run(capsys, "finite-size", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert f"{cfg}:1: argument {flag}: invalid integer value: {value!r}" in err
+
+
+# ------------------------------------------------------------------ grids
+
+class TestGridFlags:
+    NON_FINITE = [
+        ("sweep-distance", "--d-start", "nan"), ("sweep-distance", "--d-stop", "inf"),
+        ("sweep-distance", "--d-step", "nan"), ("grid-T", "--d-stop", "inf"),
+        ("grid-T", "--T-start", "-inf"), ("grid-T", "--T-stop", "nan"),
+        ("grid-T", "--T-step", "nan"),
+    ]
+
+    @pytest.mark.parametrize("cmd, flag, value", NON_FINITE,
+                             ids=[f"{c}{f}={v}" for c, f, v in NON_FINITE])
+    def test_non_finite_grid_flag_named(self, capsys, cmd, flag, value):
+        code, out, err = run(capsys, cmd, f"{flag}={value}")
+        assert code == 1
+        assert out == ""
+        assert f"error: {flag} must be finite, got {value}" in err
+
+    @pytest.fixture
+    def no_range(self, monkeypatch):
+        """Record each grid size _grid asks for, and build nothing."""
+        sizes = []
+        monkeypatch.setattr(cli, "range", lambda n: sizes.append(n) or [], raising=False)
+        return sizes
+
+    def test_cap_is_checked_from_the_count(self, no_range):
+        cfg = {"d_start": 0.0, "d_step": 1.0}
+        assert cli._grid({**cfg, "d_stop": 999_999.0}, "d") == []
+        assert no_range == [1_000_000]
+        with pytest.raises(ValueError, match="--d-step 1.0 gives more than 1000000 points"):
+            cli._grid({**cfg, "d_stop": 1_000_000.0}, "d")
+        assert no_range == [1_000_000]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-distance", "--d-step", "1e-9"],
+        ["sweep-distance", "--d-step", "1e-300", "--d-stop", "1e300"],
+        ["grid-T", "--T-step", "1e-9"],
+    ], ids=["tiny-d-step", "overflowing-d-count", "tiny-T-step"])
+    def test_tiny_step_rejected_before_allocation(self, capsys, no_range, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"{argv[1]} {float(argv[2])!r} gives more than 1000000 points" in err
+        assert no_range == []

@@ -56,6 +56,11 @@ class TestCovarianceMatrix:
         with pytest.raises(ValueError, match="symmetric"):
             CovarianceMatrix(m)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceMatrix([[bad, 0.0], [0.0, 1.0]])
+
     def test_symmetrizes_roundoff(self):
         m = np.eye(2)
         m[0, 1] = 1e-15
@@ -126,6 +131,14 @@ class TestConstructors:
     def test_noisy_source_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             noisy_source_state(40.0, -0.01)
+
+    def test_noisy_source_rejects_infinite_variance(self):
+        with pytest.raises(ValueError, match="EPR variance must be finite"):
+            noisy_source_state(math.inf, 0.1)
+
+    def test_noisy_source_rejects_nan_noise(self):
+        with pytest.raises(ValueError, match="source-noise variance must be finite"):
+            noisy_source_state(2.0, math.nan)
 
     def test_tensor_block_structure(self):
         prod = tensor(epr_state(2.0), vacuum_state(1))
