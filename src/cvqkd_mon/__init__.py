@@ -9,11 +9,9 @@ from .finite_size import (
     DEFAULT_EPSILON_SM,
     CoverageReport,
     FiniteSizeEstimate,
-    MonitorBatch,
     confidence_bound,
     coverage_diagnostic,
     mle_sigma2,
-    simulate_monitor,
     simulated_sigma2,
     z_from_epsilon,
 )
@@ -86,13 +84,11 @@ __all__ = [
     "secure_distance",
     "optimize_T",
     "DEFAULT_EPSILON_SM",
-    "MonitorBatch",
     "FiniteSizeEstimate",
     "CoverageReport",
     "mle_sigma2",
     "z_from_epsilon",
     "confidence_bound",
-    "simulate_monitor",
     "simulated_sigma2",
     "coverage_diagnostic",
 ]

@@ -2,14 +2,14 @@
 
 Subcommands
 -----------
-keyrate         one scheme at one parameter point; reads the record flags
-                --V --chi-s --eps --beta --r --T --alpha --d and --scheme
+keyrate         one scheme at one parameter point; reads the parameter flags
+                --V --chi-s --eps --beta --r --alpha, and --T --d --scheme
                 CSV: scheme,d_km,eta,chi,i_ab,s_eb,key_rate,secure
 sweep-distance  key rate vs distance for one or more schemes; reads the
-                record flags, --scheme and --d-start --d-stop --d-step
+                parameter flags, --T --scheme and --d-start --d-stop --d-step
                 CSV: scheme,d_km,key_rate
 grid-T          passive-scheme key rate over a (T, d) grid, plus a footer
-                table of secure distances per tap value; reads the record
+                table of secure distances per tap value; reads the parameter
                 flags, the --d-* grid and --T-start --T-stop --T-step
                 CSV: T,d_km,key_rate then T,secure_distance_km
 finite-size     confidence bound for the monitored noise variance, either
@@ -187,11 +187,11 @@ def _merge(args: argparse.Namespace, flags: frozenset[str]) -> dict[str, object]
     return cfg
 
 
-def _protocol(cfg: dict) -> ProtocolParams:
-    channel = ChannelParams(distance_km=cfg["d"], epsilon=cfg["eps"],
+def _protocol(cfg: dict, d_km: float, T: float) -> ProtocolParams:
+    channel = ChannelParams(distance_km=d_km, epsilon=cfg["eps"],
                             alpha_db_per_km=cfg["alpha"])
     return ProtocolParams(channel=channel, V=cfg["V"], chi_s=cfg["chi_s"],
-                          beta=cfg["beta"], r=cfg["r"], T=cfg["T"])
+                          beta=cfg["beta"], r=cfg["r"], T=T)
 
 
 def _parse_schemes(text: str | None, default: str, allow_multi: bool) -> list[str]:
@@ -246,7 +246,7 @@ def _emit(cfg: dict, lines: list[str], summary: str) -> None:
 
 def cmd_keyrate(cfg: dict) -> int:
     scheme = _parse_schemes(cfg["scheme"], default=SCHEME_PASSIVE, allow_multi=False)[0]
-    params = _protocol(cfg)
+    params = _protocol(cfg, cfg["d"], cfg["T"])
     bd = evaluate_keyrate(scheme, params)
     ch = params.channel
     lines = [
@@ -264,8 +264,8 @@ def cmd_keyrate(cfg: dict) -> int:
 
 def cmd_sweep_distance(cfg: dict) -> int:
     schemes = _parse_schemes(cfg["scheme"], default="all", allow_multi=True)
-    params = _protocol(cfg)
     distances = _grid(cfg, "d")
+    params = _protocol(cfg, distances[0], cfg["T"])
     lines = ["scheme,d_km,key_rate"]
     for scheme in schemes:
         for d in distances:
@@ -282,7 +282,7 @@ def cmd_grid_t(cfg: dict) -> int:
         raise _CliError(f"tap grid must stay within [0.01, 0.99], got "
                         f"[{taps[0]}, {taps[-1]}]")
     distances = _grid(cfg, "d")
-    params = _protocol(cfg)
+    params = _protocol(cfg, distances[0], taps[0])
     lines = ["T,d_km,key_rate"]
     for T in taps:
         p_t = replace(params, T=T)
@@ -312,9 +312,8 @@ def cmd_finite_size(cfg: dict) -> int:
                       _fmt(est.z), _fmt(est.delta_chi_s), _fmt(est.sigma_min2)]),
         ]
     else:
-        # The batch is estimated in one m-sample buffer and never kept; the
-        # coverage trials draw from a separate stream, so this row does not
-        # depend on --trials.
+        # The coverage trials draw from a separate stream, so this row does
+        # not depend on --trials.
         est = confidence_bound(simulated_sigma2(cfg["V"], cfg["chi_s"], m, cfg["seed"]),
                                m, eps_sm)
         lines = [
@@ -338,18 +337,18 @@ def cmd_finite_size(cfg: dict) -> int:
     return 0
 
 
-_RECORD = ("V", "chi_s", "eps", "beta", "r", "T", "alpha", "d")  # what _protocol reads
+_PARAMS = ("V", "chi_s", "eps", "beta", "r", "alpha")  # what _protocol reads from cfg
 _D_GRID = ("d_start", "d_stop", "d_step")
 
 # Subcommand -> (help, the cfg keys its handler reads, handler).
 _COMMANDS = {
     "keyrate": ("evaluate one scheme at one parameter point",
-                frozenset((*_RECORD, "scheme", "out", "config")), cmd_keyrate),
+                frozenset((*_PARAMS, "T", "d", "scheme", "out", "config")), cmd_keyrate),
     "sweep-distance": ("key rate vs distance per scheme",
-                       frozenset((*_RECORD, "scheme", "out", "config", *_D_GRID)),
+                       frozenset((*_PARAMS, "T", "scheme", "out", "config", *_D_GRID)),
                        cmd_sweep_distance),
     "grid-T": ("passive key rate over a (T, d) grid",
-               frozenset((*_RECORD, "out", "config", *_D_GRID, "T_start", "T_stop", "T_step")),
+               frozenset((*_PARAMS, "out", "config", *_D_GRID, "T_start", "T_stop", "T_step")),
                cmd_grid_t),
     "finite-size": ("confidence bound for the monitored noise variance",
                     frozenset(("V", "chi_s", "out", "config", "seed", "m", "eps_sm",

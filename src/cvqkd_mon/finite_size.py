@@ -17,12 +17,12 @@ literally; :func:`coverage_diagnostic` reports both candidates next to the
 Monte Carlo truth so the discrepancy stays visible.
 
 Randomness contract: all synthetic data comes from numpy's PCG64 stream
-(ziggurat normal variates), seeded explicitly, so batches are reproducible
-bit-for-bit across platforms.  A monitor batch of seed s is drawn from
-PCG64(s).  The coverage diagnostic draws its trials from PCG64(s).jumped(),
-a stream independent of that batch: since sum(y_i^2)/(V + sigma_s^2) is
-chi-squared with m degrees of freedom, each trial is one chi-squared variate
-rather than m normal ones.
+(ziggurat normal variates), seeded explicitly, so it is reproducible
+bit-for-bit across platforms.  The m monitor outcomes of seed s are
+PCG64(s).standard_normal(m) * sqrt(V + sigma_s^2).  The coverage diagnostic
+draws its trials from PCG64(s).jumped(), a stream independent of them: since
+sum(y_i^2)/(V + sigma_s^2) is chi-squared with m degrees of freedom, each
+trial is one chi-squared variate rather than m normal ones.
 """
 
 from __future__ import annotations
@@ -37,27 +37,6 @@ DEFAULT_EPSILON_SM = 1e-10
 
 _Z_BRACKET = 40.0   # erfc(40/sqrt(2)) ~ 1e-350, far below any usable eps_sm
 _Z_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class MonitorBatch:
-    """Raw monitor outcomes together with the known modulation variance."""
-
-    samples: np.ndarray
-    V: float
-
-    def __post_init__(self) -> None:
-        y = np.array(self.samples, dtype=float)
-        if y.ndim != 1 or y.size < 1:
-            raise ValueError("samples must be a non-empty 1-D array")
-        if self.V < 1.0:
-            raise ValueError(f"modulation variance must be >= 1, got V={self.V}")
-        y.setflags(write=False)
-        object.__setattr__(self, "samples", y)
-
-    @property
-    def m(self) -> int:
-        return int(self.samples.size)
 
 
 @dataclass(frozen=True)
@@ -77,16 +56,23 @@ class FiniteSizeEstimate:
         return self.sigma_hat2 < 0.0
 
 
-def mle_sigma2(batch: MonitorBatch) -> float:
+def mle_sigma2(samples: np.ndarray, V: float) -> float:
     """Maximum-likelihood source-noise variance (1/m) sum y_i^2 - V.
 
-    May be negative for small samples; the value is returned as-is and
+    `samples` is the 1-D array of m >= 2 monitor outcomes (not modified).
+    The estimate may be negative for small samples; it is returned as-is and
     flagged downstream (see :class:`FiniteSizeEstimate.negative_estimate`)
-    rather than clamped, so diagnostics stay unbiased.
+    rather than clamped.  A non-finite V or estimate raises ValueError.
     """
-    if batch.m < 2:
-        raise ValueError(f"need at least 2 monitor samples, got {batch.m}")
-    return float(np.mean(batch.samples ** 2) - batch.V)
+    y = np.asarray(samples, dtype=float)
+    if y.ndim != 1 or y.size < 2:
+        raise ValueError(f"need a 1-D array of at least 2 monitor samples, got shape {y.shape}")
+    if not 1.0 <= V < math.inf:
+        raise ValueError(f"modulation variance must be >= 1, got V={V}")
+    hat = float(np.mean(y ** 2) - V)
+    if not math.isfinite(hat):
+        raise ValueError(f"estimated source-noise variance must be finite, got {hat}")
+    return hat
 
 
 def z_from_epsilon(eps_sm: float) -> float:
@@ -107,6 +93,11 @@ def z_from_epsilon(eps_sm: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _penalty(z: float, sigma_hat2: float | np.ndarray, m: int) -> float | np.ndarray:
+    """delta = z * sigma_hat^2 * sqrt(2/m), for one estimate or an array of them."""
+    return z * sigma_hat2 * math.sqrt(2.0) / math.sqrt(m)
+
+
 def confidence_bound(sigma_hat2: float, m: int,
                      eps_sm: float = DEFAULT_EPSILON_SM) -> FiniteSizeEstimate:
     """Lower confidence bound sigma_min^2 = sigma_hat^2 - z*sigma_hat^2*sqrt(2/m)."""
@@ -115,7 +106,7 @@ def confidence_bound(sigma_hat2: float, m: int,
     if not math.isfinite(sigma_hat2):
         raise ValueError(f"noise estimate must be finite, got sigma_hat2={sigma_hat2}")
     z = z_from_epsilon(eps_sm)
-    delta = z * sigma_hat2 * math.sqrt(2.0) / math.sqrt(m)
+    delta = _penalty(z, sigma_hat2, m)
     return FiniteSizeEstimate(
         sigma_hat2=sigma_hat2,
         sigma_min2=sigma_hat2 - delta,
@@ -131,27 +122,17 @@ def _check_source(V: float, chi_s: float, m: int) -> None:
         raise ValueError(f"modulation variance must be >= 1, got V={V}")
     if not 0.0 <= chi_s < math.inf:
         raise ValueError(f"source-noise variance must be >= 0, got chi_s={chi_s}")
-    if m < 1:
-        raise ValueError(f"need at least 1 sample, got m={m}")
-
-
-def simulate_monitor(V: float, chi_s: float, m: int, seed: int) -> MonitorBatch:
-    """Draw m monitor outcomes ~ N(0, V + chi_s) from a PCG64 stream."""
-    _check_source(V, chi_s, m)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    y = rng.standard_normal(m) * math.sqrt(V + chi_s)
-    return MonitorBatch(samples=y, V=V)
+    if m < 2:
+        raise ValueError(f"need at least 2 monitor samples, got m={m}")
 
 
 def simulated_sigma2(V: float, chi_s: float, m: int, seed: int) -> float:
-    """mle_sigma2(simulate_monitor(V, chi_s, m, seed)), bit for bit.
+    """mle_sigma2 of the m monitor outcomes of `seed`, bit for bit.
 
-    The draw is scaled, squared and averaged in place, so only one m-sample
-    array is ever held; the batch itself is not kept.
+    The draw (see the module's randomness contract) is scaled, squared and
+    averaged in place, so only one m-sample array is ever held.
     """
     _check_source(V, chi_s, m)
-    if m < 2:
-        raise ValueError(f"need at least 2 monitor samples, got {m}")
     y = np.random.Generator(np.random.PCG64(seed)).standard_normal(m)
     np.multiply(y, math.sqrt(V + chi_s), out=y)
     np.square(y, out=y)
@@ -184,27 +165,25 @@ def coverage_diagnostic(V: float, chi_s: float, m: int, eps_sm: float,
 
     Trial k's estimate is (V + chi_s) * X_k / m - V, where X_1..X_trials come
     from one chisquare(m, trials) draw on PCG64(seed).jumped(); that is the
-    exact law of mle_sigma2 on m monitor samples.  Each trial is bounded
-    with the arithmetic of confidence_bound, so its sigma_min2 is the one
+    exact law of mle_sigma2 on m monitor samples.  Each trial takes the
+    penalty confidence_bound takes, so its sigma_min2 is the one
     confidence_bound gives for that estimate.  Invalid arguments raise
     ValueError before the draw.
     """
     if trials < 100:
         raise ValueError(f"need at least 100 trials for a meaningful rate, got {trials}")
     _check_source(V, chi_s, m)
-    if m < 2:
-        raise ValueError(f"need at least 2 monitor samples, got m={m}")
     z = z_from_epsilon(eps_sm)
 
     rng = np.random.Generator(np.random.PCG64(seed).jumped())
     hats = (V + chi_s) * rng.chisquare(m, trials) / m - V
-    failures = int(np.count_nonzero(hats - z * hats * math.sqrt(2.0) / math.sqrt(m) > chi_s))
+    failures = int(np.count_nonzero(hats - _penalty(z, hats, m) > chi_s))
     mean_hat = float(np.mean(hats))
     return CoverageReport(
         trials=trials,
         failure_rate=failures / trials,
         mean_sigma_hat2=mean_hat,
         std_sigma_hat2=float(np.std(hats, ddof=1)),
-        assumed_dispersion=math.sqrt(2.0) * mean_hat / math.sqrt(m),
+        assumed_dispersion=_penalty(1.0, mean_hat, m),
         moment_dispersion=math.sqrt(2.0) * (V + chi_s) / math.sqrt(m),
     )

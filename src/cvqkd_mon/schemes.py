@@ -56,12 +56,16 @@ SCHEMES = (SCHEME_UNTRUSTED, SCHEME_ACTIVE, SCHEME_PASSIVE)
 #: key rates are meaningless; evaluations refuse to proceed.
 ETA_FLOOR = 1e-6
 
+_ALPHA_DB_PER_KM = 0.2  # default fiber attenuation
+_EPSILON = 0.1  # default channel excess noise
+_D_MAX_KM = 100.0  # default secure-distance search cap, km
+
 
 class ChannelOpaqueError(ValueError):
     """Channel transmittance fell below the evaluable floor."""
 
 
-def distance_to_eta(d_km: float, alpha_db_per_km: float = 0.2) -> float:
+def distance_to_eta(d_km: float, alpha_db_per_km: float = _ALPHA_DB_PER_KM) -> float:
     """Fiber transmittance 10^(-alpha*d/10) for a span of d kilometers."""
     if d_km < 0.0:
         raise ValueError(f"distance must be >= 0 km, got {d_km}")
@@ -75,8 +79,8 @@ class ChannelParams:
     """Fiber span: length, attenuation and input-referred excess noise."""
 
     distance_km: float
-    epsilon: float = 0.1
-    alpha_db_per_km: float = 0.2
+    epsilon: float = _EPSILON
+    alpha_db_per_km: float = _ALPHA_DB_PER_KM
 
     def __post_init__(self) -> None:
         if not self.distance_km >= 0.0:
@@ -98,8 +102,8 @@ class ChannelParams:
         return (1.0 - eta) / eta + self.epsilon
 
     @classmethod
-    def from_transmittance(cls, eta: float, epsilon: float = 0.1,
-                           alpha_db_per_km: float = 0.2) -> "ChannelParams":
+    def from_transmittance(cls, eta: float, epsilon: float = _EPSILON,
+                           alpha_db_per_km: float = _ALPHA_DB_PER_KM) -> "ChannelParams":
         """Build the span whose transmittance equals `eta`."""
         if not 0.0 < eta <= 1.0:
             raise ValueError(f"transmittance must lie in (0, 1], got {eta}")
@@ -195,7 +199,7 @@ def keyrate_at_distance(scheme: str, p: ProtocolParams, d_km: float) -> KeyRateB
     return evaluate_keyrate(scheme, replace(p, channel=replace(p.channel, distance_km=d_km)))
 
 
-def secure_distance(scheme: str, p: ProtocolParams, d_max: float = 100.0,
+def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM,
                     coarse_step: float = 0.5, tol_km: float = 0.01) -> float | None:
     """Largest distance with a positive key rate, or None if insecure at d=0.
 
@@ -238,7 +242,7 @@ class TapSweepResult:
     table: tuple[tuple[float, float | None], ...]
 
 
-def optimize_T(p: ProtocolParams, T_grid: list[float], d_max: float = 100.0) -> TapSweepResult:
+def optimize_T(p: ProtocolParams, T_grid: list[float], d_max: float = _D_MAX_KM) -> TapSweepResult:
     """Secure distance of the passive scheme over a grid of tap values.
 
     Exhaustive evaluation; ties break toward the smaller T.  When every

@@ -41,10 +41,9 @@ from cvqkd_mon import (
     epr_state,
     evaluate_keyrate,
     keyrate_at_distance,
-    mle_sigma2,
     noisy_source_state,
     secure_distance,
-    simulate_monitor,
+    simulated_sigma2,
     symplectic_spectrum,
     tensor,
     vacuum_state,
@@ -283,8 +282,7 @@ def test_criterion_6_spectrum_oracle_equivalence():
 
 
 def test_criterion_7_monte_carlo_estimation(tmp_path):
-    batch = simulate_monitor(40.0, 0.1, 10 ** 6, seed=20260808)
-    hat = mle_sigma2(batch)
+    hat = simulated_sigma2(40.0, 0.1, 10 ** 6, seed=20260808)
     three_se = 3.0 * math.sqrt(2.0) * 40.1 / math.sqrt(10 ** 6)
 
     out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

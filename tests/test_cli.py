@@ -351,13 +351,13 @@ FLAG_HELP = {
     "--sigma-hat2": "analytic mode: use this estimate instead of simulating",
 }
 
-RECORD = {"--V", "--chi-s", "--eps", "--beta", "--r", "--T", "--alpha", "--d"}
+PARAMS = {"--V", "--chi-s", "--eps", "--beta", "--r", "--alpha"}
 IO = {"--out", "--config"}
 D_GRID = {"--d-start", "--d-stop", "--d-step"}
 TAKES = {
-    "keyrate": RECORD | IO | {"--scheme"},
-    "sweep-distance": RECORD | IO | {"--scheme"} | D_GRID,
-    "grid-T": RECORD | IO | D_GRID | {"--T-start", "--T-stop", "--T-step"},
+    "keyrate": PARAMS | IO | {"--T", "--d", "--scheme"},
+    "sweep-distance": PARAMS | IO | {"--T", "--scheme"} | D_GRID,
+    "grid-T": PARAMS | IO | D_GRID | {"--T-start", "--T-stop", "--T-step"},
     "finite-size": IO | {"--V", "--chi-s", "--seed", "--m", "--eps-sm", "--trials",
                          "--sigma-hat2"},
 }

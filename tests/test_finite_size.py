@@ -11,45 +11,48 @@ from hypothesis import strategies as st
 
 from cvqkd_mon import (
     CoverageReport,
-    MonitorBatch,
     confidence_bound,
     coverage_diagnostic,
     mle_sigma2,
-    simulate_monitor,
     simulated_sigma2,
     z_from_epsilon,
 )
 
 
+def monitor_outcomes(V, chi_s, m, seed):
+    """The documented draw: PCG64(seed).standard_normal(m) * sqrt(V + chi_s)."""
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal(m) * math.sqrt(V + chi_s)
+
+
 class TestMonitorBatch:
+    """The batch mle_sigma2 takes: a 1-D array of outcomes and the modulation variance V."""
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            MonitorBatch(samples=np.array([]), V=1.0)
+            mle_sigma2(np.array([]), V=1.0)
 
     def test_rejects_sub_vacuum_modulation(self):
         with pytest.raises(ValueError):
-            MonitorBatch(samples=np.array([1.0, 2.0]), V=0.5)
+            mle_sigma2(np.array([1.0, 2.0]), V=0.5)
 
     def test_samples_are_readonly(self):
-        batch = MonitorBatch(samples=np.array([1.0, 2.0]), V=1.0)
-        with pytest.raises(ValueError):
-            batch.samples[0] = 0.0
+        # the caller's outcomes are read, never written
+        samples = np.array([2.0, -2.0])
+        mle_sigma2(samples, V=1.0)
+        assert samples.tolist() == [2.0, -2.0]
 
 
 class TestMleSigma2:
     def test_degenerate_zero_batch(self):
-        batch = MonitorBatch(samples=np.zeros(8), V=1.0)
-        assert mle_sigma2(batch) == -1.0
-        assert confidence_bound(mle_sigma2(batch), batch.m).negative_estimate
+        assert mle_sigma2(np.zeros(8), V=1.0) == -1.0
+        assert confidence_bound(mle_sigma2(np.zeros(8), V=1.0), 8).negative_estimate
 
     def test_two_sample_arithmetic(self):
-        batch = MonitorBatch(samples=np.array([2.0, -2.0]), V=1.0)
-        assert mle_sigma2(batch) == 3.0
+        assert mle_sigma2(np.array([2.0, -2.0]), V=1.0) == 3.0
 
     def test_single_sample_rejected(self):
-        batch = MonitorBatch(samples=np.array([1.0]), V=1.0)
         with pytest.raises(ValueError):
-            mle_sigma2(batch)
+            mle_sigma2(np.array([1.0]), V=1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=0.1, max_value=10.0))
@@ -57,13 +60,12 @@ class TestMleSigma2:
         # scaling every outcome by s scales (estimate + V) by s^2
         rng = np.random.default_rng(3)
         y = rng.standard_normal(64)
-        base = mle_sigma2(MonitorBatch(samples=y, V=1.0)) + 1.0
-        scaled = mle_sigma2(MonitorBatch(samples=s * y, V=1.0)) + 1.0
+        base = mle_sigma2(y, V=1.0) + 1.0
+        scaled = mle_sigma2(s * y, V=1.0) + 1.0
         assert math.isclose(scaled, s * s * base, rel_tol=1e-9)
 
     def test_large_sample_accuracy(self):
-        batch = simulate_monitor(40.0, 0.1, 10 ** 6, seed=314159)
-        hat = mle_sigma2(batch)
+        hat = mle_sigma2(monitor_outcomes(40.0, 0.1, 10 ** 6, seed=314159), V=40.0)
         three_se = 3.0 * math.sqrt(2.0) * 40.1 / math.sqrt(10 ** 6)
         assert abs(hat - 0.1) < three_se
 
@@ -140,29 +142,39 @@ class TestConfidenceBound:
 
 
 class TestSimulateMonitor:
+    """The simulated monitor outcomes, as simulated_sigma2 estimates them."""
+
     def test_deterministic_for_fixed_seed(self):
-        a = simulate_monitor(40.0, 0.1, 512, seed=99)
-        b = simulate_monitor(40.0, 0.1, 512, seed=99)
-        assert np.array_equal(a.samples, b.samples)
-        assert confidence_bound(mle_sigma2(a), a.m) == confidence_bound(mle_sigma2(b), b.m)
+        a = simulated_sigma2(40.0, 0.1, 512, seed=99)
+        b = simulated_sigma2(40.0, 0.1, 512, seed=99)
+        assert a == b
+        assert confidence_bound(a, 512) == confidence_bound(b, 512)
 
     def test_different_seeds_differ(self):
-        a = simulate_monitor(40.0, 0.1, 512, seed=99)
-        b = simulate_monitor(40.0, 0.1, 512, seed=100)
-        assert not np.array_equal(a.samples, b.samples)
+        assert simulated_sigma2(40.0, 0.1, 512, seed=99) \
+            != simulated_sigma2(40.0, 0.1, 512, seed=100)
 
     def test_vacuum_statistics(self):
-        batch = simulate_monitor(1.0, 0.0, 10 ** 5, seed=7)
-        sample_var = float(np.mean(batch.samples ** 2))
-        assert abs(sample_var - 1.0) < 3.0 * math.sqrt(2.0 / 10 ** 5)
+        hat = simulated_sigma2(1.0, 0.0, 10 ** 5, seed=7)
+        assert abs(hat) < 3.0 * math.sqrt(2.0 / 10 ** 5)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_monitor(0.5, 0.1, 10, seed=1)
-        with pytest.raises(ValueError):
-            simulate_monitor(2.0, -0.1, 10, seed=1)
-        with pytest.raises(ValueError):
-            simulate_monitor(2.0, 0.1, 0, seed=1)
+    def test_validation(self, monkeypatch):
+        # invalid arguments raise before any outcome is drawn
+        drawn = []
+
+        class Recording(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                drawn.append(args)
+                return super().standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
+        simulated_sigma2(2.0, 0.1, 10, seed=1)
+        assert drawn == [(10,)]  # the hook sees the draw of a valid call
+        drawn.clear()
+        for V, chi_s, m in [(0.5, 0.1, 10), (2.0, -0.1, 10), (2.0, 0.1, 1)]:
+            with pytest.raises(ValueError):
+                simulated_sigma2(V, chi_s, m, seed=1)
+        assert drawn == []
 
 
 class TestSimulatedSigma2:
@@ -171,9 +183,9 @@ class TestSimulatedSigma2:
         (2.5, 1.7, 4097, 12345), (1e6, 3.0, 131073, 1),
     ])
     def test_equals_raw_batch_pipeline(self, V, chi_s, m, seed):
-        # the single in-place buffer repeats the raw-batch arithmetic exactly
-        assert simulated_sigma2(V, chi_s, m, seed) \
-            == mle_sigma2(simulate_monitor(V, chi_s, m, seed))
+        # the single in-place buffer repeats the arithmetic on the raw draw exactly
+        y = monitor_outcomes(V, chi_s, m, seed)
+        assert simulated_sigma2(V, chi_s, m, seed) == float(np.mean(y ** 2) - V)
 
     @pytest.mark.parametrize("bad", [{"V": 0.5}, {"chi_s": -0.1}, {"m": 0}, {"m": 1}])
     def test_validation(self, bad):
@@ -185,14 +197,17 @@ class TestSimulatedSigma2:
 @pytest.mark.parametrize("bad", [
     {"V": math.nan}, {"V": math.inf}, {"chi_s": math.nan}, {"chi_s": math.inf},
 ], ids=["V=nan", "V=inf", "chi_s=nan", "chi_s=inf"])
-@pytest.mark.parametrize("entry", [simulate_monitor, simulated_sigma2, coverage_diagnostic],
+@pytest.mark.parametrize("entry", [mle_sigma2, simulated_sigma2, coverage_diagnostic],
                          ids=lambda fn: fn.__name__)
 def test_source_rejects_non_finite(entry, bad):
-    args = dict(V=2.0, chi_s=0.05, m=64, seed=5)
-    if entry is coverage_diagnostic:
+    args = dict(V=2.0, chi_s=0.05, m=64, seed=5) | bad
+    if entry is mle_sigma2:
+        # that source's outcomes: a non-finite chi_s makes the samples non-finite
+        args = dict(samples=monitor_outcomes(**args), V=args["V"])
+    elif entry is coverage_diagnostic:
         args |= dict(eps_sm=0.01, trials=100)
     with pytest.raises(ValueError, match="variance must be"):
-        entry(**(args | bad))
+        entry(**args)
 
 
 def looped_coverage(V, chi_s, m, eps_sm, trials, seed) -> CoverageReport:

@@ -1,5 +1,6 @@
 """Scheme key rates, secure-distance search and tap optimization."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -72,6 +73,14 @@ class TestChannelParams:
     def test_from_transmittance_roundtrip(self):
         ch = ChannelParams.from_transmittance(0.25, epsilon=0.05)
         assert math.isclose(ch.eta, 0.25, rel_tol=1e-12)
+
+    def test_entry_points_share_defaults(self):
+        # distance_to_eta, ChannelParams and from_transmittance default to the
+        # same attenuation, and the last two to the same excess noise
+        ch = ChannelParams(distance_km=15.0)
+        assert ch.eta == distance_to_eta(15.0)
+        back = ChannelParams.from_transmittance(ch.eta)
+        assert (back.epsilon, back.alpha_db_per_km) == (ch.epsilon, ch.alpha_db_per_km)
 
     @pytest.mark.parametrize("kw, message", [
         ({"distance_km": math.nan}, "distance"), ({"epsilon": math.nan}, "excess noise"),
@@ -392,3 +401,8 @@ class TestOptimizeT:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             optimize_T(params(), [])
+
+    def test_search_cap_default_matches_secure_distance(self):
+        caps = {inspect.signature(fn).parameters["d_max"].default
+                for fn in (secure_distance, optimize_T)}
+        assert len(caps) == 1
