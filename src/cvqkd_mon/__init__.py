@@ -16,7 +16,6 @@ from .finite_size import (
     z_from_epsilon,
 )
 from .gaussian import (
-    SIGMA_Z,
     CovarianceMatrix,
     NumericalInstabilityError,
     UnphysicalStateError,
@@ -27,7 +26,6 @@ from .gaussian import (
     g_entropy,
     mutual_info_het_hom,
     noisy_source_state,
-    symplectic_form,
     symplectic_spectrum,
     tensor,
     vacuum_state,
@@ -43,7 +41,6 @@ from .schemes import (
     KeyRateBreakdown,
     ProtocolParams,
     TapSweepResult,
-    distance_to_eta,
     evaluate_keyrate,
     keyrate_at_distance,
     optimize_T,
@@ -53,11 +50,9 @@ from .schemes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SIGMA_Z",
     "CovarianceMatrix",
     "UnphysicalStateError",
     "NumericalInstabilityError",
-    "symplectic_form",
     "vacuum_state",
     "tensor",
     "epr_state",
@@ -78,7 +73,6 @@ __all__ = [
     "ProtocolParams",
     "KeyRateBreakdown",
     "TapSweepResult",
-    "distance_to_eta",
     "evaluate_keyrate",
     "keyrate_at_distance",
     "secure_distance",

@@ -35,13 +35,6 @@ class NumericalInstabilityError(ArithmeticError):
     """An eigen-decomposition left residues above the tolerated noise floor."""
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """2n x 2n symplectic form: a direct sum of [[0, 1], [-1, 0]] blocks."""
-    if n_modes < 1:
-        raise ValueError(f"need at least one mode, got {n_modes}")
-    return np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-
-
 @dataclass(frozen=True)
 class CovarianceMatrix:
     """Covariance matrix of a zero-mean Gaussian state.
@@ -76,30 +69,10 @@ class CovarianceMatrix:
         if not 0 <= mode < self.n_modes:
             raise ValueError(f"mode index {mode} out of range for {self.n_modes} modes")
 
-    def mode_block(self, mode: int) -> np.ndarray:
-        """Own 2x2 (x, p) block of one mode."""
-        self._check_mode(mode)
-        return self.matrix[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2]
 
-    def cross_block(self, i: int, j: int) -> np.ndarray:
-        """2x2 correlation block between modes i and j."""
-        self._check_mode(i)
-        self._check_mode(j)
-        return self.matrix[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-
-    def reduced(self, modes: list[int]) -> "CovarianceMatrix":
-        """Marginal state of the listed modes, in the listed order."""
-        for m in modes:
-            self._check_mode(m)
-        idx = [k for m in modes for k in (2 * m, 2 * m + 1)]
-        return CovarianceMatrix(self.matrix[np.ix_(idx, idx)])
-
-
-def vacuum_state(n_modes: int = 1) -> CovarianceMatrix:
-    """n-mode vacuum: the 2n x 2n identity."""
-    if n_modes < 1:
-        raise ValueError(f"need at least one mode, got {n_modes}")
-    return CovarianceMatrix(np.eye(2 * n_modes))
+def vacuum_state() -> CovarianceMatrix:
+    """Single-mode vacuum: the 2 x 2 identity."""
+    return CovarianceMatrix(np.eye(2))
 
 
 def tensor(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
@@ -192,11 +165,13 @@ def symplectic_spectrum(cm: CovarianceMatrix) -> np.ndarray:
     """Symplectic eigenvalues, one per mode, sorted descending.
 
     These are the n positive numbers {nu} such that Omega @ gamma has
-    eigenvalues {+/- i nu}; they are invariant under symplectic transforms
+    eigenvalues {+/- i nu}, with Omega the symplectic form (a direct sum of
+    [[0, 1], [-1, 0]] blocks); they are invariant under symplectic transforms
     and nu >= 1 for every physical state.  Computed for any n from the
     eigenvalues of Omega @ gamma.
     """
-    evals = np.linalg.eigvals(symplectic_form(cm.n_modes) @ cm.matrix)
+    omega = np.kron(np.eye(cm.n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    evals = np.linalg.eigvals(omega @ cm.matrix)
     scale = max(1.0, float(np.abs(evals).max()))
     residue = float(np.abs(evals.real).max())
     if residue > _RESIDUE_TOL * scale:

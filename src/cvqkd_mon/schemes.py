@@ -56,22 +56,13 @@ SCHEMES = (SCHEME_UNTRUSTED, SCHEME_ACTIVE, SCHEME_PASSIVE)
 #: key rates are meaningless; evaluations refuse to proceed.
 ETA_FLOOR = 1e-6
 
-_ALPHA_DB_PER_KM = 0.2  # default fiber attenuation
-_EPSILON = 0.1  # default channel excess noise
 _D_MAX_KM = 100.0  # default secure-distance search cap, km
+_COARSE_STEP_KM = 0.5  # grid spacing of the secure-distance scan
+_TOL_KM = 0.01  # width at which bisection stops
 
 
 class ChannelOpaqueError(ValueError):
     """Channel transmittance fell below the evaluable floor."""
-
-
-def distance_to_eta(d_km: float, alpha_db_per_km: float = _ALPHA_DB_PER_KM) -> float:
-    """Fiber transmittance 10^(-alpha*d/10) for a span of d kilometers."""
-    if d_km < 0.0:
-        raise ValueError(f"distance must be >= 0 km, got {d_km}")
-    if alpha_db_per_km <= 0.0:
-        raise ValueError(f"attenuation must be > 0 dB/km, got {alpha_db_per_km}")
-    return 10.0 ** (-alpha_db_per_km * d_km / 10.0)
 
 
 @dataclass(frozen=True)
@@ -79,8 +70,8 @@ class ChannelParams:
     """Fiber span: length, attenuation and input-referred excess noise."""
 
     distance_km: float
-    epsilon: float = _EPSILON
-    alpha_db_per_km: float = _ALPHA_DB_PER_KM
+    epsilon: float = 0.1
+    alpha_db_per_km: float = 0.2
 
     def __post_init__(self) -> None:
         if not self.distance_km >= 0.0:
@@ -93,22 +84,13 @@ class ChannelParams:
     @property
     def eta(self) -> float:
         """Transmittance 10^(-alpha*d/10)."""
-        return distance_to_eta(self.distance_km, self.alpha_db_per_km)
+        return 10.0 ** (-self.alpha_db_per_km * self.distance_km / 10.0)
 
     @property
     def chi(self) -> float:
         """Total channel noise (1 - eta)/eta + epsilon, referred to the input."""
         eta = self.eta
         return (1.0 - eta) / eta + self.epsilon
-
-    @classmethod
-    def from_transmittance(cls, eta: float, epsilon: float = _EPSILON,
-                           alpha_db_per_km: float = _ALPHA_DB_PER_KM) -> "ChannelParams":
-        """Build the span whose transmittance equals `eta`."""
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"transmittance must lie in (0, 1], got {eta}")
-        d = -10.0 * math.log10(eta) / alpha_db_per_km
-        return cls(distance_km=d, epsilon=epsilon, alpha_db_per_km=alpha_db_per_km)
 
 
 @dataclass(frozen=True)
@@ -199,32 +181,47 @@ def keyrate_at_distance(scheme: str, p: ProtocolParams, d_km: float) -> KeyRateB
     return evaluate_keyrate(scheme, replace(p, channel=replace(p.channel, distance_km=d_km)))
 
 
-def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM,
-                    coarse_step: float = 0.5, tol_km: float = 0.01) -> float | None:
+def _coarse_grid(d_max: float):
+    """The scan points k * 0.5 km for k >= 1 up to `d_max`, then `d_max` if not on it."""
+    k = 1
+    while k <= d_max / _COARSE_STEP_KM + 1e-9:
+        yield k * _COARSE_STEP_KM
+        k += 1
+    if (k - 1) * _COARSE_STEP_KM < d_max:
+        yield d_max
+
+
+def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM) -> float | None:
     """Largest distance with a positive key rate, or None if insecure at d=0.
 
     d=0 is evaluated first, so an insecure search returns None after one
-    point.  Otherwise a coarse grid scan (default 0.5 km) brackets the last
-    positive point, then bisection narrows the boundary to `tol_km`.  If the
-    rate is still positive at `d_max` the cap itself is returned.
+    point.  Otherwise a scan in fixed 0.5 km steps up to `d_max` brackets
+    the last positive point, then bisection narrows the boundary to
+    0.01 km.  If the rate is still positive at `d_max` the cap itself is
+    returned.  A scan that passes the ETA_FLOOR opacity limit (about 300 km
+    at 0.2 dB/km) raises ChannelOpaqueError there.
     """
+    if not d_max < math.inf:
+        raise ValueError(f"search cap must be finite, got d_max={d_max}")
     if d_max <= 0.0:
         raise ValueError(f"search cap must be positive, got d_max={d_max}")
 
     def rate(d: float) -> float:
         return keyrate_at_distance(scheme, p, d).key_rate
 
-    n_steps = int(math.floor(d_max / coarse_step + 1e-9))
-    grid = [k * coarse_step for k in range(n_steps + 1)]
-    if grid[-1] < d_max:
-        grid.append(d_max)
-    if rate(grid[0]) <= 0.0:
+    if rate(0.0) <= 0.0:
         return None
-    last_pos = max((i for i in range(1, len(grid)) if rate(grid[i]) > 0.0), default=0)
-    if last_pos == len(grid) - 1:
+    lo = hi = 0.0
+    positive = True
+    for d in _coarse_grid(d_max):
+        was_positive, positive = positive, rate(d) > 0.0
+        if positive:
+            lo = d
+        elif was_positive:
+            hi = d
+    if positive:
         return d_max
-    lo, hi = grid[last_pos], grid[last_pos + 1]
-    while hi - lo > tol_km:
+    while hi - lo > _TOL_KM:
         mid = 0.5 * (lo + hi)
         if rate(mid) > 0.0:
             lo = mid

@@ -61,7 +61,7 @@ from oracles import (
 )
 
 #: Agreement required between a searched secure distance and the route's
-#: zero crossing; the search itself stops at tol_km = 0.01.
+#: zero crossing; the search itself bisects to a fixed 0.01 km.
 TOL_KM = 0.01
 #: grid-T's default --d-stop, which is also the cap of its footer searches.
 GRID_D_MAX = 40.0

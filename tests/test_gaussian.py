@@ -17,7 +17,6 @@ from cvqkd_mon import (
     g_entropy,
     mutual_info_het_hom,
     noisy_source_state,
-    symplectic_form,
     symplectic_spectrum,
     tensor,
     vacuum_state,
@@ -68,22 +67,24 @@ class TestCovarianceMatrix:
         assert cm.matrix[0, 1] == cm.matrix[1, 0]
 
     def test_matrix_is_readonly(self):
-        cm = vacuum_state(1)
+        cm = vacuum_state()
         with pytest.raises(ValueError):
             cm.matrix[0, 0] = 2.0
 
     def test_blocks_and_reduction(self):
+        # mode k owns rows and columns 2k, 2k+1; a marginal is the diagonal block
         cm = noisy_source_state(3.0, 0.5)
-        assert np.allclose(cm.mode_block(0), 3.0 * np.eye(2))
-        assert np.allclose(cm.mode_block(1), 3.5 * np.eye(2))
-        assert np.allclose(cm.cross_block(0, 1), math.sqrt(8.0) * np.diag([1.0, -1.0]))
-        sub = cm.reduced([1])
+        assert np.allclose(cm.matrix[:2, :2], 3.0 * np.eye(2))
+        assert np.allclose(cm.matrix[2:, 2:], 3.5 * np.eye(2))
+        assert np.allclose(cm.matrix[:2, 2:], math.sqrt(8.0) * np.diag([1.0, -1.0]))
+        sub = CovarianceMatrix(cm.matrix[2:, 2:])
         assert sub.n_modes == 1
         assert np.allclose(sub.matrix, 3.5 * np.eye(2))
 
     def test_mode_index_validation(self):
-        with pytest.raises(ValueError):
-            vacuum_state(2).mode_block(2)
+        for mode in (-1, 1):
+            with pytest.raises(ValueError, match="out of range"):
+                apply_fiber_channel(vacuum_state(), mode, 0.5, 0.0)
 
 
 # ------------------------------------------------------------ constructors
@@ -94,8 +95,8 @@ class TestConstructors:
 
     def test_epr_reference_entries(self):
         cm = epr_state(40.0)
-        assert np.allclose(cm.mode_block(0), 40.0 * np.eye(2))
-        assert np.allclose(cm.mode_block(1), 40.0 * np.eye(2))
+        assert np.allclose(cm.matrix[:2, :2], 40.0 * np.eye(2))
+        assert np.allclose(cm.matrix[2:, 2:], 40.0 * np.eye(2))
         assert math.isclose(cm.matrix[0, 2], SQRT_1599, rel_tol=1e-9)
         assert math.isclose(cm.matrix[1, 3], -SQRT_1599, rel_tol=1e-9)
 
@@ -118,7 +119,7 @@ class TestConstructors:
 
     def test_noisy_source_reference_entries(self):
         cm = noisy_source_state(40.0, 0.1)
-        assert np.allclose(cm.mode_block(1), 40.1 * np.eye(2))
+        assert np.allclose(cm.matrix[2:, 2:], 40.1 * np.eye(2))
         assert math.isclose(cm.matrix[0, 2], SQRT_1599, rel_tol=1e-9)
 
     def test_noisy_source_is_mixed_but_physical(self):
@@ -141,10 +142,10 @@ class TestConstructors:
             noisy_source_state(2.0, math.nan)
 
     def test_tensor_block_structure(self):
-        prod = tensor(epr_state(2.0), vacuum_state(1))
+        prod = tensor(epr_state(2.0), vacuum_state())
         assert prod.n_modes == 3
-        assert np.allclose(prod.mode_block(2), np.eye(2))
-        assert np.allclose(prod.cross_block(0, 2), 0.0)
+        assert np.allclose(prod.matrix[4:, 4:], np.eye(2))
+        assert np.allclose(prod.matrix[:4, 4:], 0.0)
 
 
 # ------------------------------------------------------------- beamsplitter
@@ -152,29 +153,29 @@ class TestConstructors:
 class TestBeamsplitter:
     def test_transparent_is_identity(self):
         cm = noisy_source_state(10.0, 0.3)
-        st3 = tensor(cm, vacuum_state(1))
+        st3 = tensor(cm, vacuum_state())
         out = apply_beamsplitter(st3, 1, 2, 1.0)
         assert np.allclose(out.matrix, st3.matrix, atol=1e-12)
 
     def test_full_reflection_swaps_modes(self):
         thermal = CovarianceMatrix(3.0 * np.eye(2))
-        st2 = tensor(vacuum_state(1), thermal)
+        st2 = tensor(vacuum_state(), thermal)
         out = apply_beamsplitter(st2, 0, 1, 0.0)
-        assert np.allclose(out.mode_block(0), 3.0 * np.eye(2))
-        assert np.allclose(out.mode_block(1), np.eye(2))
+        assert np.allclose(out.matrix[:2, :2], 3.0 * np.eye(2))
+        assert np.allclose(out.matrix[2:, 2:], np.eye(2))
         assert np.allclose(symplectic_spectrum(out), symplectic_spectrum(st2), atol=1e-12)
 
     def test_half_tap_output_variance(self):
         # substitute three-mode input: TMSV(V + chi_s) beside a vacuum mode
         V, chi_s = 40.0, 0.1
-        st3 = tensor(epr_state(V + chi_s), vacuum_state(1))
+        st3 = tensor(epr_state(V + chi_s), vacuum_state())
         out = apply_beamsplitter(st3, 1, 2, 0.5)
-        assert np.allclose(out.mode_block(1), (V + chi_s + 1.0) / 2.0 * np.eye(2))
+        assert np.allclose(out.matrix[2:4, 2:4], (V + chi_s + 1.0) / 2.0 * np.eye(2))
 
     def test_spectrum_invariance_random(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            st3 = tensor(random_std_form_state(rng), vacuum_state(1))
+            st3 = tensor(random_std_form_state(rng), vacuum_state())
             i, j = rng.choice(3, size=2, replace=False)
             T = rng.uniform(0.0, 1.0)
             before = symplectic_spectrum(st3)
@@ -191,18 +192,18 @@ class TestBeamsplitter:
         s[2:4, 4:6] = rr * np.eye(2)
         s[4:6, 2:4] = -rr * np.eye(2)
         s[4:6, 4:6] = rt * np.eye(2)
-        omega = symplectic_form(n)
+        omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
         assert np.allclose(s.T @ omega @ s, omega, atol=1e-12)
 
     @pytest.mark.parametrize("T", [-0.1, 1.1])
     def test_rejects_bad_transmittance(self, T):
-        st2 = tensor(vacuum_state(1), vacuum_state(1))
+        st2 = tensor(vacuum_state(), vacuum_state())
         with pytest.raises(ValueError):
             apply_beamsplitter(st2, 0, 1, T)
 
     def test_rejects_equal_modes(self):
         with pytest.raises(ValueError):
-            apply_beamsplitter(vacuum_state(2), 1, 1, 0.5)
+            apply_beamsplitter(tensor(vacuum_state(), vacuum_state()), 1, 1, 0.5)
 
 
 # ------------------------------------------------------------ fiber channel
@@ -217,17 +218,17 @@ class TestFiberChannel:
         V, chi_s, eta, eps = 40.0, 0.1, 0.63, 0.1
         chi = (1.0 - eta) / eta + eps
         out = apply_fiber_channel(noisy_source_state(V, chi_s), 1, eta, eps)
-        assert np.allclose(out.mode_block(0), V * np.eye(2))
-        assert np.allclose(out.mode_block(1), eta * (V + chi_s + chi) * np.eye(2))
+        assert np.allclose(out.matrix[:2, :2], V * np.eye(2))
+        assert np.allclose(out.matrix[2:, 2:], eta * (V + chi_s + chi) * np.eye(2))
         assert math.isclose(out.matrix[0, 2], math.sqrt(eta * (V * V - 1.0)), rel_tol=1e-12)
 
     @pytest.mark.parametrize("eta", [0.1, 0.5, 1.0])
     def test_vacuum_maps_to_vacuum(self, eta):
-        out = apply_fiber_channel(vacuum_state(1), 0, eta, 0.0)
+        out = apply_fiber_channel(vacuum_state(), 0, eta, 0.0)
         assert np.allclose(out.matrix, np.eye(2), atol=1e-12)
 
     def test_rejects_bad_parameters(self):
-        cm = vacuum_state(1)
+        cm = vacuum_state()
         with pytest.raises(ValueError):
             apply_fiber_channel(cm, 0, 0.0, 0.0)
         with pytest.raises(ValueError):
@@ -241,7 +242,7 @@ class TestFiberChannel:
 class TestSymplecticSpectrum:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_vacuum_spectrum(self, n):
-        assert np.allclose(symplectic_spectrum(vacuum_state(n)), 1.0, atol=1e-12)
+        assert np.allclose(symplectic_spectrum(CovarianceMatrix(np.eye(2 * n))), 1.0, atol=1e-12)
 
     def test_single_mode_thermal(self):
         cm = CovarianceMatrix(3.0 * np.eye(2))
@@ -341,7 +342,7 @@ class TestHomodyneConditioning:
         assert np.allclose(out.matrix, 5.0 * np.eye(2), atol=1e-12)
 
     def test_three_mode_matches_meter_limit_oracle(self):
-        st3 = tensor(epr_state(40.1), vacuum_state(1))
+        st3 = tensor(epr_state(40.1), vacuum_state())
         st3 = apply_beamsplitter(st3, 1, 2, 0.5)
         st3 = apply_fiber_channel(st3, 1, 0.63, 0.1)
         got = condition_on_homodyne(st3, 1)
@@ -353,7 +354,7 @@ class TestHomodyneConditioning:
     def test_dimension_drops_by_one_mode_and_stays_physical(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
-            st3 = tensor(random_std_form_state(rng), vacuum_state(1))
+            st3 = tensor(random_std_form_state(rng), vacuum_state())
             st3 = apply_beamsplitter(st3, 1, 2, rng.uniform(0.05, 0.95))
             mode = int(rng.integers(0, 3))
             out = condition_on_homodyne(st3, mode)
@@ -362,7 +363,7 @@ class TestHomodyneConditioning:
 
     def test_rejects_single_mode(self):
         with pytest.raises(ValueError):
-            condition_on_homodyne(vacuum_state(1), 0)
+            condition_on_homodyne(vacuum_state(), 0)
 
     def test_rejects_degenerate_x_variance(self):
         cm = CovarianceMatrix(np.zeros((4, 4)))

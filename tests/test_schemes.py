@@ -2,7 +2,12 @@
 
 import inspect
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,6 @@ from cvqkd_mon import (
     KeyRateBreakdown,
     ProtocolParams,
     apply_beamsplitter,
-    distance_to_eta,
     evaluate_keyrate,
     keyrate_at_distance,
     noisy_source_state,
@@ -44,20 +48,23 @@ def params(d_km=10.0, eps=0.1, alpha=0.2, **kw) -> ProtocolParams:
 # ------------------------------------------------------------- channel maps
 
 class TestDistanceToEta:
+    """The one transmittance route: ChannelParams(d, alpha_db_per_km=...).eta."""
+
     def test_zero_distance(self):
-        assert distance_to_eta(0.0) == 1.0
+        assert ChannelParams(0.0).eta == 1.0
 
     def test_fifty_km_is_ten_percent(self):
-        assert math.isclose(distance_to_eta(50.0, 0.2), 0.1, rel_tol=1e-12)
+        assert math.isclose(ChannelParams(50.0, alpha_db_per_km=0.2).eta, 0.1, rel_tol=1e-12)
 
     def test_fifteen_km(self):
-        assert math.isclose(distance_to_eta(15.0, 0.2), 10.0 ** -0.3, rel_tol=1e-12)
+        # also pins the default attenuation of 0.2 dB/km
+        assert math.isclose(ChannelParams(15.0).eta, 10.0 ** -0.3, rel_tol=1e-12)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            distance_to_eta(-1.0)
-        with pytest.raises(ValueError):
-            distance_to_eta(10.0, 0.0)
+        with pytest.raises(ValueError, match="distance"):
+            ChannelParams(-1.0)
+        with pytest.raises(ValueError, match="attenuation"):
+            ChannelParams(10.0, alpha_db_per_km=0.0)
 
 
 class TestChannelParams:
@@ -69,18 +76,6 @@ class TestChannelParams:
 
     def test_zero_distance_is_transparent(self):
         assert ChannelParams(distance_km=0.0, epsilon=0.0).eta == 1.0
-
-    def test_from_transmittance_roundtrip(self):
-        ch = ChannelParams.from_transmittance(0.25, epsilon=0.05)
-        assert math.isclose(ch.eta, 0.25, rel_tol=1e-12)
-
-    def test_entry_points_share_defaults(self):
-        # distance_to_eta, ChannelParams and from_transmittance default to the
-        # same attenuation, and the last two to the same excess noise
-        ch = ChannelParams(distance_km=15.0)
-        assert ch.eta == distance_to_eta(15.0)
-        back = ChannelParams.from_transmittance(ch.eta)
-        assert (back.epsilon, back.alpha_db_per_km) == (ch.epsilon, ch.alpha_db_per_km)
 
     @pytest.mark.parametrize("kw, message", [
         ({"distance_km": math.nan}, "distance"), ({"epsilon": math.nan}, "excess noise"),
@@ -102,8 +97,6 @@ class TestChannelParams:
             ChannelParams(distance_km=1.0, epsilon=-0.1)
         with pytest.raises(ValueError):
             ChannelParams(distance_km=1.0, epsilon=0.1, alpha_db_per_km=0.0)
-        with pytest.raises(ValueError):
-            ChannelParams.from_transmittance(0.0)
 
 
 class TestProtocolParams:
@@ -146,7 +139,7 @@ class TestUntrusted:
         p = params(d_km=10.0)
         bd = evaluate_keyrate(SCHEME_UNTRUSTED, p)
         i_ab, s_eb, key = untrusted_keyrate_scalar(40.0, 0.1, 0.8,
-                                                   distance_to_eta(10.0), 0.1)
+                                                   ChannelParams(10.0).eta, 0.1)
         assert math.isclose(bd.i_ab, i_ab, rel_tol=1e-12)
         assert math.isclose(bd.s_eb, s_eb, rel_tol=1e-12)
         assert math.isclose(bd.key_rate, key, rel_tol=1e-12, abs_tol=1e-12)
@@ -158,7 +151,7 @@ class TestUntrusted:
     def test_scalar_oracle_agreement_across_grid(self):
         for d in [0.0, 1.0, 5.0, 20.0]:
             bd = evaluate_keyrate(SCHEME_UNTRUSTED, params(d_km=d))
-            _, _, key = untrusted_keyrate_scalar(40.0, 0.1, 0.8, distance_to_eta(d), 0.1)
+            _, _, key = untrusted_keyrate_scalar(40.0, 0.1, 0.8, ChannelParams(d).eta, 0.1)
             assert math.isclose(bd.key_rate, key, rel_tol=1e-11, abs_tol=1e-12)
 
 
@@ -193,7 +186,7 @@ class TestActive:
             for r in [0.0, 0.5]:
                 for d in [0.0, 1.0, 5.0, 20.0, 50.0]:
                     bd = evaluate_keyrate(SCHEME_ACTIVE, params(d_km=d, chi_s=chi_s, r=r))
-                    ref = active_keyrate_scalar(40.0, chi_s, 0.8, r, distance_to_eta(d), 0.1)
+                    ref = active_keyrate_scalar(40.0, chi_s, 0.8, r, ChannelParams(d).eta, 0.1)
                     for got, want in zip((bd.i_ab, bd.s_eb, bd.key_rate), ref):
                         assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-12)
 
@@ -231,7 +224,7 @@ class TestPassive:
             for T in [0.05, 0.1, 0.5, 0.9, 1.0]:
                 for d in [0.0, 1.0, 5.0, 20.0, 50.0]:
                     bd = evaluate_keyrate(SCHEME_PASSIVE, params(d_km=d, chi_s=chi_s, T=T))
-                    ref = passive_keyrate_scalar(40.0, chi_s, 0.8, T, distance_to_eta(d), 0.1)
+                    ref = passive_keyrate_scalar(40.0, chi_s, 0.8, T, ChannelParams(d).eta, 0.1)
                     for got, want in zip((bd.i_ab, bd.s_eb, bd.key_rate), ref):
                         assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-11)
 
@@ -241,7 +234,25 @@ class TestPassive:
         st3 = tensor(noisy_source_state(V, chi_s), vacuum_state())
         out = apply_beamsplitter(st3, 1, 2, T)
         expected = T * (V + chi_s) + (1.0 - T)
-        assert np.allclose(out.mode_block(1), expected * np.eye(2), atol=1e-12)
+        assert np.allclose(out.matrix[2:4, 2:4], expected * np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("chi_s", [0.0, 0.1, 2.0])
+    @pytest.mark.parametrize("V", [1.5, 10.0, 40.0, 1e3])
+    def test_tap_is_an_attenuator_in_front_of_the_active_scheme(self, V, chi_s):
+        # passive(V, chi_s, T) has the I(a:b) and S(E:b) of active at
+        # V' = T(V-1)+1, chi_s' = T chi_s: c^2/(a+1) = T(V-1) = V'-1, and the
+        # thermal channel input T(V+chi_s)+1-T = V'+chi_s'.  Only the duty
+        # differs.  The S(E:b) tolerance covers eig noise at pure corners.
+        for T in (0.01, 0.1, 0.5, 0.9, 1.0):
+            for d in (0.0, 5.0, 30.0, 100.0):
+                for eps in (0.0, 0.1):
+                    pas = evaluate_keyrate(SCHEME_PASSIVE, params(d_km=d, eps=eps, V=V,
+                                                                  chi_s=chi_s, T=T))
+                    act = evaluate_keyrate(SCHEME_ACTIVE, params(
+                        d_km=d, eps=eps, V=T * (V - 1.0) + 1.0, chi_s=T * chi_s))
+                    at = f"T={T}, d={d}, eps={eps}"
+                    assert math.isclose(pas.i_ab, act.i_ab, rel_tol=0.0, abs_tol=1e-12), at
+                    assert math.isclose(pas.s_eb, act.s_eb, rel_tol=0.0, abs_tol=1e-8), at
 
 
 class TestSchemeRelations:
@@ -367,6 +378,42 @@ class TestSecureDistance:
     def test_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             secure_distance(SCHEME_PASSIVE, params(), d_max=0.0)
+
+    @pytest.mark.parametrize("d_max", [math.nan, math.inf])
+    def test_rejects_non_finite_cap_before_any_point(self, d_max, monkeypatch):
+        import cvqkd_mon.schemes as schemes
+
+        calls = []
+        monkeypatch.setattr(schemes, "keyrate_at_distance", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="search cap must be finite"):
+            secure_distance(SCHEME_PASSIVE, params(), d_max=d_max)
+        with pytest.raises(ValueError, match="search cap must be finite"):
+            optimize_T(params(), [0.1, 0.5], d_max=d_max)
+        assert calls == []
+
+    def test_huge_cap_runs_in_bounded_memory(self):
+        # The coarse grid is walked, never materialised: with a cap of 1e300
+        # an insecure point stops at d=0 and a secure one at the first scan
+        # point past the opacity floor.  The child's address space is capped
+        # at 1 GiB, so a grid that is built as a list fails fast.
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from cvqkd_mon import ChannelOpaqueError, ChannelParams, ProtocolParams, secure_distance
+            print(secure_distance("untrusted", ProtocolParams(ChannelParams(0.0), beta=0.0), 1e300))
+            try:
+                secure_distance("untrusted", ProtocolParams(ChannelParams(0.0)), 1e300)
+            except ChannelOpaqueError as exc:
+                print(exc)
+        """)
+        import cvqkd_mon.schemes as schemes
+
+        src = Path(schemes.__file__).parents[1]
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=os.environ | {"PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "None", "channel opaque: eta=9.772e-07 below 1e-06 (distance 300.5 km)"]
 
 
 class TestOptimizeT:
