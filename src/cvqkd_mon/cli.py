@@ -21,7 +21,7 @@ finite-size     confidence bound for the monitored noise variance, either
                      then trials,failure_rate,mean_sigma_hat2,std_sigma_hat2,
                      assumed_dispersion,moment_dispersion            (simulated)
 
-Every subcommand also takes --out and --config; any other flag exits 1 with
+Every subcommand also takes --out; any other flag exits 1 with
 "unrecognized arguments".
 
 All floats are serialized with 9 significant digits and '.' decimals, rows
@@ -31,8 +31,9 @@ when given (summary on stdout), else to stdout (summary on stderr).
 
 Exit codes: 0 success/secure, 2 evaluated but insecure, 1 invalid input.
 
-A plain key=value config file (--config) may set any flag of its
-subcommand except --config; command-line flags override it.
+An argument @FILE is replaced by the flags in FILE, whitespace-separated,
+with '#' starting a comment (a line "--V 40" or "--V=40").  Later arguments
+win, so flags after @FILE override it and flags before it do not.
 """
 
 from __future__ import annotations
@@ -50,9 +51,7 @@ from .finite_size import (
     simulated_sigma2,
 )
 from .schemes import (
-    SCHEME_ACTIVE,
     SCHEME_PASSIVE,
-    SCHEME_UNTRUSTED,
     SCHEMES,
     ChannelParams,
     ProtocolParams,
@@ -71,6 +70,9 @@ class _Parser(argparse.ArgumentParser):
     # the "insecure" exit code; route everything through _CliError instead.
     def error(self, message: str) -> None:  # noqa: D102
         raise _CliError(message)
+
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:  # noqa: D102
+        return arg_line.split("#", 1)[0].split()
 
 
 def _integer(text: str) -> int:
@@ -100,7 +102,6 @@ _FLAGS: dict[str, tuple] = {
     "scheme": (str, None, "untrusted | active_switch | passive_bs (sweeps also accept "
                           "'all' or a comma-separated list)"),
     "out": (str, None, "CSV output path (default: stdout)"),
-    "config": (str, None, "key=value file; flags override it"),
     "seed": (_integer, 1, "PRNG seed"),
     "m": (_integer, 1_000_000, "monitor sample count"),
     "eps_sm": (float, DEFAULT_EPSILON_SM, "monitor failure probability"),
@@ -117,13 +118,8 @@ _FLAGS: dict[str, tuple] = {
 # Most points a grid axis may have; checked from the count, before any allocation.
 _MAX_GRID_POINTS = 1_000_000
 
-_SCHEME_ALIASES = {
-    "untrusted": SCHEME_UNTRUSTED,
-    "active": SCHEME_ACTIVE,
-    "active_switch": SCHEME_ACTIVE,
-    "passive": SCHEME_PASSIVE,
-    "passive_bs": SCHEME_PASSIVE,
-}
+# Each scheme by its tag or the tag's first word ("active" for "active_switch").
+_SCHEME_ALIASES = {alias: tag for tag in SCHEMES for alias in (tag, tag.split("_")[0])}
 
 
 def _flag(key: str) -> str:
@@ -136,7 +132,7 @@ def _fmt(value: float) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cvqkd-mon",
+    parser = _Parser(prog="cvqkd-mon", fromfile_prefix_chars="@",
                      description="Key-rate and source-monitoring analysis "
                                  "for coherent-state CVQKD with a noisy source.")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -148,43 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
                 if default is not None:
                     shown = f"{default:g}" if kind is float else default
                     help_text += f" (default {shown})"
-                p.add_argument(_flag(key), dest=key, type=kind, help=help_text)
+                p.add_argument(_flag(key), dest=key, type=kind, default=default,
+                               help=help_text)
     return parser
-
-
-def _load_config(path: str, flags: frozenset[str]) -> dict[str, object]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _CliError(f"cannot read config file: {exc}")
-    entries: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _CliError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-        key, value = line.split("=", 1)
-        key, value = key.strip().replace("-", "_"), value.strip()
-        if key not in flags or key == "config":
-            raise _CliError(f"{path}:{lineno}: unknown option {key!r}")
-        kind = _FLAGS[key][0]
-        try:
-            entries[key] = kind(value)
-        except ValueError:
-            raise _CliError(f"{path}:{lineno}: argument {_flag(key)}: "
-                            f"invalid {kind.__name__} value: {value!r}")
-    return entries
-
-
-def _merge(args: argparse.Namespace, flags: frozenset[str]) -> dict[str, object]:
-    """Hard defaults, overridden by the config file, overridden by flags."""
-    cfg = {key: _FLAGS[key][1] for key in flags}
-    if args.config:
-        cfg.update(_load_config(args.config, flags))
-    cfg.update((key, value) for key, value in vars(args).items()
-               if key in flags and value is not None)
-    return cfg
 
 
 def _protocol(cfg: dict, d_km: float, T: float) -> ProtocolParams:
@@ -194,25 +156,17 @@ def _protocol(cfg: dict, d_km: float, T: float) -> ProtocolParams:
                           beta=cfg["beta"], r=cfg["r"], T=T)
 
 
-def _parse_schemes(text: str | None, default: str, allow_multi: bool) -> list[str]:
-    if text is None:
-        text = default
+def _parse_schemes(text: str) -> list[str]:
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise _CliError("empty scheme selector")
     if names == ["all"]:
-        if not allow_multi:
-            raise _CliError("this subcommand evaluates exactly one scheme")
         return list(SCHEMES)
-    tags = []
     for name in names:
         if name not in _SCHEME_ALIASES:
             raise _CliError(f"unknown scheme {name!r}; expected one of "
                             f"{sorted(_SCHEME_ALIASES)} or 'all'")
-        tags.append(_SCHEME_ALIASES[name])
-    if not allow_multi and len(tags) != 1:
-        raise _CliError("this subcommand evaluates exactly one scheme")
-    return tags
+    return [_SCHEME_ALIASES[name] for name in names]
 
 
 def _grid(cfg: dict, axis: str) -> list[float]:
@@ -245,9 +199,11 @@ def _emit(cfg: dict, lines: list[str], summary: str) -> None:
 
 
 def cmd_keyrate(cfg: dict) -> int:
-    scheme = _parse_schemes(cfg["scheme"], default=SCHEME_PASSIVE, allow_multi=False)[0]
+    schemes = _parse_schemes(SCHEME_PASSIVE if cfg["scheme"] is None else cfg["scheme"])
+    if len(schemes) != 1:
+        raise _CliError("this subcommand evaluates exactly one scheme")
     params = _protocol(cfg, cfg["d"], cfg["T"])
-    bd = evaluate_keyrate(scheme, params)
+    bd = evaluate_keyrate(schemes[0], params)
     ch = params.channel
     lines = [
         "scheme,d_km,eta,chi,i_ab,s_eb,key_rate,secure",
@@ -263,7 +219,7 @@ def cmd_keyrate(cfg: dict) -> int:
 
 
 def cmd_sweep_distance(cfg: dict) -> int:
-    schemes = _parse_schemes(cfg["scheme"], default="all", allow_multi=True)
+    schemes = _parse_schemes("all" if cfg["scheme"] is None else cfg["scheme"])
     distances = _grid(cfg, "d")
     params = _protocol(cfg, distances[0], cfg["T"])
     lines = ["scheme,d_km,key_rate"]
@@ -343,26 +299,25 @@ _D_GRID = ("d_start", "d_stop", "d_step")
 # Subcommand -> (help, the cfg keys its handler reads, handler).
 _COMMANDS = {
     "keyrate": ("evaluate one scheme at one parameter point",
-                frozenset((*_PARAMS, "T", "d", "scheme", "out", "config")), cmd_keyrate),
+                frozenset((*_PARAMS, "T", "d", "scheme", "out")), cmd_keyrate),
     "sweep-distance": ("key rate vs distance per scheme",
-                       frozenset((*_PARAMS, "T", "scheme", "out", "config", *_D_GRID)),
+                       frozenset((*_PARAMS, "T", "scheme", "out", *_D_GRID)),
                        cmd_sweep_distance),
     "grid-T": ("passive key rate over a (T, d) grid",
-               frozenset((*_PARAMS, "out", "config", *_D_GRID, "T_start", "T_stop", "T_step")),
+               frozenset((*_PARAMS, "out", *_D_GRID, "T_start", "T_stop", "T_step")),
                cmd_grid_t),
     "finite-size": ("confidence bound for the monitored noise variance",
-                    frozenset(("V", "chi_s", "out", "config", "seed", "m", "eps_sm",
+                    frozenset(("V", "chi_s", "out", "seed", "m", "eps_sm",
                                "trials", "sigma_hat2")), cmd_finite_size),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        _help, flags, handler = _COMMANDS[args.cmd]
-        return handler(_merge(args, flags))
-    except (ValueError, ArithmeticError, OSError) as exc:  # _CliError is a ValueError
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.cmd][2](vars(args))
+    except (ValueError, ArithmeticError, OSError,  # _CliError is a ValueError
+            RecursionError) as exc:  # from an @FILE that names itself
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -198,8 +198,9 @@ def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM) ->
     point.  Otherwise a scan in fixed 0.5 km steps up to `d_max` brackets
     the last positive point, then bisection narrows the boundary to
     0.01 km.  If the rate is still positive at `d_max` the cap itself is
-    returned.  A scan that passes the ETA_FLOOR opacity limit (about 300 km
-    at 0.2 dB/km) raises ChannelOpaqueError there.
+    returned.  A scan that reaches the ETA_FLOOR opacity limit (about 300 km
+    at 0.2 dB/km) stops there once the crossing is bracketed, and raises
+    ChannelOpaqueError while the rate is still positive.
     """
     if not d_max < math.inf:
         raise ValueError(f"search cap must be finite, got d_max={d_max}")
@@ -214,7 +215,13 @@ def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM) ->
     lo = hi = 0.0
     positive = True
     for d in _coarse_grid(d_max):
-        was_positive, positive = positive, rate(d) > 0.0
+        try:
+            k = rate(d)
+        except ChannelOpaqueError:
+            if positive:
+                raise
+            break  # the bracket is final: no later point can be evaluated
+        was_positive, positive = positive, k > 0.0
         if positive:
             lo = d
         elif was_positive:
@@ -247,16 +254,9 @@ def optimize_T(p: ProtocolParams, T_grid: list[float], d_max: float = _D_MAX_KM)
     """
     if len(T_grid) == 0:
         raise ValueError("tap grid must not be empty")
-    table = []
-    best_T: float | None = None
-    best_d: float | None = None
-    for T in T_grid:
-        dist = secure_distance(SCHEME_PASSIVE, replace(p, T=T), d_max=d_max)
-        table.append((T, dist))
-        better = dist is not None and (best_d is None or dist > best_d
-                                       or (dist == best_d and T < best_T))
-        if better:
-            best_T, best_d = T, dist
-    if best_T is None:
-        best_T = min(T_grid)
-    return TapSweepResult(T_best=best_T, d_best=best_d, table=tuple(table))
+    table = tuple((T, secure_distance(SCHEME_PASSIVE, replace(p, T=T), d_max=d_max))
+                  for T in T_grid)
+    # The longest distance; among equal ones the smaller T, whose negation is larger.
+    best_d, neg_T = max(((d, -T) for T, d in table if d is not None),
+                        default=(None, -min(T_grid)))
+    return TapSweepResult(T_best=-neg_T, d_best=best_d, table=table)

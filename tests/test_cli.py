@@ -1,7 +1,9 @@
-"""Command-line interface: schemas, exit codes, determinism, config handling."""
+"""Command-line interface: schemas, exit codes, determinism, @FILE flag files."""
 
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,9 @@ import pytest
 
 import cvqkd_mon
 from cvqkd_mon import cli
-from cvqkd_mon.cli import main
+from cvqkd_mon.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -242,39 +246,78 @@ class TestOutputAndConfig:
         assert len(mantissa) <= 9
 
     def test_config_file_sets_flags(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comparison point\nbeta = 0.9\nd = 2\n")
-        _, from_config, _ = run(capsys, "keyrate", "--config", str(cfg))
+        cfg = tmp_path / "run.args"
+        cfg.write_text("# comparison point\n\n--beta 0.9   # reconciliation\n--d=2\n")
+        _, from_config, _ = run(capsys, "keyrate", f"@{cfg}")
         _, direct, _ = run(capsys, "keyrate", "--beta", "0.9", "--d", "2")
         assert from_config == direct
 
     def test_cli_flag_overrides_config(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("beta=0.9\nd=2\n")
-        _, overridden, _ = run(capsys, "keyrate", "--config", str(cfg),
-                               "--beta", "0.7")
-        _, direct, _ = run(capsys, "keyrate", "--beta", "0.7", "--d", "2")
-        assert overridden == direct
+        # later arguments win: a flag after @FILE overrides it, one before does not
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--beta 0.9\n--d 2\n")
+        _, after, _ = run(capsys, "keyrate", f"@{cfg}", "--beta", "0.7")
+        _, before, _ = run(capsys, "keyrate", "--beta", "0.7", f"@{cfg}")
+        _, direct_07, _ = run(capsys, "keyrate", "--beta", "0.7", "--d", "2")
+        _, direct_09, _ = run(capsys, "keyrate", "--beta", "0.9", "--d", "2")
+        assert after == direct_07
+        assert before == direct_09 != direct_07
 
     def test_config_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("betta = 0.9\n")
-        code, _, err = run(capsys, "keyrate", "--config", str(cfg))
+        cfg = tmp_path / "run.args"
+        cfg.write_text("--betta 0.9\n")
+        code, out, err = run(capsys, "keyrate", f"@{cfg}")
         assert code == 1
-        assert "betta" in err
-
-    def test_config_dashed_keys_accepted(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("chi-s = 0.2\nd = 2\n")
-        _, from_config, _ = run(capsys, "keyrate", "--config", str(cfg))
-        _, direct, _ = run(capsys, "keyrate", "--chi-s", "0.2", "--d", "2")
-        assert from_config == direct
+        assert out == ""
+        assert "unrecognized arguments: --betta 0.9" in err
 
     def test_missing_config_file_exits_one(self, capsys, tmp_path):
-        code, _, err = run(capsys, "keyrate", "--config",
-                           str(tmp_path / "nope.cfg"))
+        code, out, err = run(capsys, "keyrate", f"@{tmp_path / 'nope.args'}")
         assert code == 1
-        assert "config" in err
+        assert out == ""
+        assert "nope.args" in err
+
+    def test_at_sign_always_names_a_flag_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "keyrate", "--d", "2", "--out", "@x.csv")
+        assert code == 1
+        assert out == ""
+        assert "x.csv" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_self_including_flag_file_exits_one(self, capsys, tmp_path):
+        cfg = tmp_path / "run.args"
+        cfg.write_text(f"--d 2\n@{cfg}\n")
+        code, out, err = run(capsys, "keyrate", f"@{cfg}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: maximum recursion depth exceeded")
+
+    @pytest.mark.parametrize("cmd", ["keyrate", "sweep-distance", "grid-T", "finite-size"])
+    def test_config_flag_is_gone(self, capsys, cmd):
+        code, out, err = run(capsys, cmd, "--config", "x")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --config x" in err
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="eigen-solver noise at pure-state corners (ROADMAP item 3)")
+    def test_pure_state_corner_is_evaluated(self, capsys):
+        code, _, _ = run(capsys, "keyrate", "--scheme", "passive", "--d", "0", "--eps", "0",
+                         "--V", "1e6")
+        assert code in (0, 2)
+
+    def test_readme_command_lines_parse(self, tmp_path, monkeypatch):
+        text = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"^```(\w*)\n(.*?)^```$", text, re.M | re.S)
+        flag_file = next(body for _, body in blocks if body.startswith("# run.args"))
+        (tmp_path / "run.args").write_text(flag_file)
+        monkeypatch.chdir(tmp_path)
+        lines = [line for lang, body in blocks if lang == "sh"
+                 for line in body.splitlines() if line.startswith("cvqkd-mon ")]
+        assert len(lines) == 6
+        for line in lines:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
     NON_FINITE = [
         (["keyrate", "--V", "nan"], "modulation variance"),
@@ -337,7 +380,6 @@ FLAG_HELP = {
     "--scheme": "untrusted | active_switch | passive_bs (sweeps also accept 'all' "
                 "or a comma-separated list)",
     "--out": "CSV output path (default: stdout)",
-    "--config": "key=value file; flags override it",
     "--seed": "PRNG seed (default 1)",
     "--m": "monitor sample count (default 1000000)",
     "--eps-sm": "monitor failure probability (default 1e-10)",
@@ -352,7 +394,7 @@ FLAG_HELP = {
 }
 
 PARAMS = {"--V", "--chi-s", "--eps", "--beta", "--r", "--alpha"}
-IO = {"--out", "--config"}
+IO = {"--out"}
 D_GRID = {"--d-start", "--d-stop", "--d-step"}
 TAKES = {
     "keyrate": PARAMS | IO | {"--T", "--d", "--scheme"},
@@ -390,12 +432,13 @@ class TestFlagSets:
     @pytest.mark.parametrize("cmd, key", [("keyrate", "seed"), ("sweep-distance", "T_step"),
                                           ("grid-T", "scheme"), ("finite-size", "d")])
     def test_config_key_of_another_subcommand_rejected(self, capsys, tmp_path, cmd, key):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"# shared file\n{key} = 1\n")
-        code, out, err = run(capsys, cmd, "--config", str(cfg))
+        flag = cli._flag(key)
+        cfg = tmp_path / "run.args"
+        cfg.write_text(f"# shared file\n{flag} 1\n")
+        code, out, err = run(capsys, cmd, f"@{cfg}")
         assert code == 1
         assert out == ""
-        assert f"{cfg}:2: unknown option {key!r}" in err
+        assert f"unrecognized arguments: {flag} 1" in err
 
     @pytest.mark.parametrize("cmd", TAKES)
     def test_help_lists_exactly_its_flags(self, capsys, cmd):
@@ -422,12 +465,12 @@ class TestFlagSets:
     @pytest.mark.parametrize("flag, value", BAD_INTEGERS,
                              ids=[f"{f}={v}" for f, v in BAD_INTEGERS])
     def test_bad_integer_config_value(self, capsys, tmp_path, flag, value):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{flag[2:]} = {value}\n")
-        code, out, err = run(capsys, "finite-size", "--config", str(cfg))
+        cfg = tmp_path / "run.args"
+        cfg.write_text(f"{flag}={value}\n")  # "--trials -inf" would read -inf as a flag
+        code, out, err = run(capsys, "finite-size", f"@{cfg}")
         assert code == 1
         assert out == ""
-        assert f"{cfg}:1: argument {flag}: invalid integer value: {value!r}" in err
+        assert err == f"error: argument {flag}: invalid integer value: {value!r}\n"
 
 
 # ------------------------------------------------------------------ grids

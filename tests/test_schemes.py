@@ -1,5 +1,6 @@
 """Scheme key rates, secure-distance search and tap optimization."""
 
+import functools
 import inspect
 import math
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ from cvqkd_mon import (
 from oracles import (
     active_keyrate_scalar,
     passive_keyrate_scalar,
+    thermal_input_holevo_scalar,
     untrusted_keyrate_scalar,
 )
 
@@ -323,6 +326,73 @@ class TestSchemeRelations:
             evaluate_keyrate("bogus", params())
 
 
+# Physical states at pure-state corners (d=0, eps=0) on which the key-rate
+# path raises today, as (scheme, V, chi_s, T): the eigen-solver's
+# UnphysicalStateError (a ValueError) or the breakdown's "negative
+# information quantities" check.  ROADMAP item 3 mends them.
+PURE_CORNERS = [
+    *((scheme, 1e5, 0.0, 0.5) for scheme in SCHEMES),
+    (SCHEME_ACTIVE, 1e6, 0.1, 0.5), (SCHEME_PASSIVE, 1e6, 0.1, 0.5),
+    (SCHEME_PASSIVE, 1e4, 0.0, 0.5),
+    (SCHEME_ACTIVE, 1e5, 2.0, 1.0), (SCHEME_PASSIVE, 1e5, 2.0, 1.0),
+    (SCHEME_PASSIVE, 1e3, 0.5, 0.5),
+]
+
+
+class TestPureStateCorners:
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="eigen-solver noise at pure-state corners (ROADMAP item 3)")
+    @pytest.mark.parametrize("scheme, V, chi_s, T", PURE_CORNERS,
+                             ids=[f"{s}-V={V:g}-chi_s={c}-T={T}" for s, V, c, T in PURE_CORNERS])
+    def test_evaluates(self, scheme, V, chi_s, T):
+        bd = evaluate_keyrate(scheme, params(d_km=0.0, eps=0.0, V=V, chi_s=chi_s, T=T))
+        assert bd.s_eb >= 0.0
+
+
+class TestHolevoInSourceNoise:
+    """Sign of S(E:b) in the monitored chi_s, which decides the conservative bound.
+
+    S(E:b) depends only on the channel-input variance W = T(V+chi_s)+1-T
+    (V+chi_s for active, here T=1).  It grows with W from W = 1.2 on, but
+    not near the vacuum.
+    """
+
+    CHI_S = (0.0, 0.01, 0.1, 0.5, 2.0)
+
+    def test_nondecreasing_from_input_variance_one_point_two(self):
+        @functools.cache
+        def s_eb(scheme, V, chi_s, T, d, eps):
+            return evaluate_keyrate(scheme, params(d_km=d, eps=eps, V=V, chi_s=chi_s, T=T)).s_eb
+
+        V_D_EPS = ((1.2, 1.5, 2.0, 10.0, 40.0, 1e3), (0.0, 5.0, 30.0, 100.0), (0.0, 0.1))
+        cases = [*product([SCHEME_ACTIVE], [1.0], *V_D_EPS),
+                 *product([SCHEME_PASSIVE], (0.01, 0.1, 0.5, 0.9, 1.0), *V_D_EPS)]
+        pairs = 0
+        for scheme, T, V, d, eps in cases:
+            for lo, hi in zip(self.CHI_S, self.CHI_S[1:]):
+                corner = d == eps == 0.0 and any(
+                    (scheme, V, chi_s, T) in PURE_CORNERS for chi_s in (lo, hi))
+                if T * (V + lo) + 1.0 - T < 1.2 or corner:
+                    continue
+                step = s_eb(scheme, V, hi, T, d, eps) - s_eb(scheme, V, lo, T, d, eps)
+                assert step >= -1e-8, (scheme, V, T, d, eps, lo, hi)
+                pairs += 1
+        assert pairs == 886
+
+    @pytest.mark.parametrize("scheme, V, T, drop", [(SCHEME_PASSIVE, 2.0, 0.1, 1.67e-4),
+                                                    (SCHEME_ACTIVE, 1.05, 1.0, 2.08e-3)])
+    def test_falls_near_the_vacuum(self, scheme, V, T, drop):
+        # chi_s from 0 to 0.1 at d=0, eps=0.1 takes W from 1.1 (passive) or
+        # 1.05 (active) up by 0.01 or 0.1, and S(E:b) down: here the lower
+        # bound on chi_s, not the upper one, is the conservative input.
+        s = [evaluate_keyrate(scheme, params(d_km=0.0, eps=0.1, V=V, chi_s=chi_s, T=T)).s_eb
+             for chi_s in (0.0, 0.1)]
+        route = [thermal_input_holevo_scalar(T * (V + chi_s) + 1.0 - T, 1.0, 0.1)
+                 for chi_s in (0.0, 0.1)]
+        assert math.isclose(s[0] - s[1], drop, rel_tol=0.01)
+        assert math.isclose(route[0] - route[1], drop, rel_tol=0.01)
+
+
 # --------------------------------------------------------- distance search
 
 class TestSecureDistance:
@@ -393,16 +463,20 @@ class TestSecureDistance:
 
     def test_huge_cap_runs_in_bounded_memory(self):
         # The coarse grid is walked, never materialised: with a cap of 1e300
-        # an insecure point stops at d=0 and a secure one at the first scan
-        # point past the opacity floor.  The child's address space is capped
-        # at 1 GiB, so a grid that is built as a list fails fast.
+        # an insecure point stops at d=0, the reference point (insecure from
+        # 0.22 km) at the opacity floor with its crossing, and a lossless
+        # point, still secure there, raises at the first scan point past it.
+        # The child's address space is capped at 1 GiB, so a grid that is
+        # built as a list fails fast.
         script = textwrap.dedent("""
             import resource
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
             from cvqkd_mon import ChannelOpaqueError, ChannelParams, ProtocolParams, secure_distance
             print(secure_distance("untrusted", ProtocolParams(ChannelParams(0.0), beta=0.0), 1e300))
+            print(secure_distance("untrusted", ProtocolParams(ChannelParams(0.0)), 1e300))
+            lossless = ProtocolParams(ChannelParams(0.0, epsilon=0.0), chi_s=0.0, beta=1.0)
             try:
-                secure_distance("untrusted", ProtocolParams(ChannelParams(0.0)), 1e300)
+                secure_distance("untrusted", lossless, 1e300)
             except ChannelOpaqueError as exc:
                 print(exc)
         """)
@@ -413,7 +487,8 @@ class TestSecureDistance:
                               timeout=120, env=os.environ | {"PYTHONPATH": str(src)})
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
-            "None", "channel opaque: eta=9.772e-07 below 1e-06 (distance 300.5 km)"]
+            "None", repr(secure_distance(SCHEME_UNTRUSTED, params(d_km=0.0), 100.0)),
+            "channel opaque: eta=9.772e-07 below 1e-06 (distance 300.5 km)"]
 
 
 class TestOptimizeT:
