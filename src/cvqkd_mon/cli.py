@@ -13,7 +13,8 @@ grid-T          passive-scheme key rate over a (T, d) grid, plus a footer
                 flags, the --d-* grid and --T-start --T-stop --T-step
                 CSV: T,d_km,key_rate then T,secure_distance_km
 finite-size     confidence bound for the monitored noise variance, either
-                analytic (--sigma-hat2) or simulated (--V --chi-s --m --seed),
+                analytic (--sigma-hat2, which ignores --V --chi-s --seed and
+                exits 1 with --trials) or simulated (--V --chi-s --m --seed),
                 optionally with a Monte Carlo coverage footer (--trials),
                 at failure probability --eps-sm
                 CSV: sigma_hat2,m,eps_sm,z,delta_chi_s,sigma_min2   (analytic)
@@ -166,7 +167,7 @@ def _parse_schemes(text: str) -> list[str]:
         if name not in _SCHEME_ALIASES:
             raise _CliError(f"unknown scheme {name!r}; expected one of "
                             f"{sorted(_SCHEME_ALIASES)} or 'all'")
-    return [_SCHEME_ALIASES[name] for name in names]
+    return list(dict.fromkeys(_SCHEME_ALIASES[name] for name in names))  # each once, in order
 
 
 def _grid(cfg: dict, axis: str) -> list[float]:
@@ -261,6 +262,8 @@ def cmd_grid_t(cfg: dict) -> int:
 def cmd_finite_size(cfg: dict) -> int:
     m, eps_sm = cfg["m"], cfg["eps_sm"]
     if cfg["sigma_hat2"] is not None:
+        if cfg["trials"] > 0:
+            raise _CliError("--trials needs simulated data; drop it or --sigma-hat2")
         est = confidence_bound(cfg["sigma_hat2"], m, eps_sm)
         lines = [
             "sigma_hat2,m,eps_sm,z,delta_chi_s,sigma_min2",

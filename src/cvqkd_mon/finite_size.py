@@ -8,7 +8,7 @@ eps_sm, the bound is
 
     sigma_min^2 = sigma_hat^2 - delta,    delta = z * sigma_hat^2 * sqrt(2/m),
 
-with z the two-sided Gaussian quantile solving erfc(z/sqrt(2)) = eps_sm.
+with z the normal quantile at 1 - eps_sm/2, so erfc(z/sqrt(2)) = eps_sm.
 The delta formula takes the estimator dispersion proportional to the
 estimate itself; the exact second-moment calculation instead gives
 std(sigma_hat^2) = sqrt(2)*(V + sigma_s^2)/sqrt(m), which is much larger
@@ -34,9 +34,6 @@ import numpy as np
 
 #: Default failure probability for the confidence bound.
 DEFAULT_EPSILON_SM = 1e-10
-
-_Z_BRACKET = 40.0   # erfc(40/sqrt(2)) ~ 1e-350, far below any usable eps_sm
-_Z_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -76,21 +73,11 @@ def mle_sigma2(samples: np.ndarray, V: float) -> float:
 
 
 def z_from_epsilon(eps_sm: float) -> float:
-    """Quantile z > 0 solving erfc(z/sqrt(2)) = eps_sm.
-
-    Bracketed bisection on [0, 40] to 1e-10 absolute; erfc(x) is the
-    numerically stable form of 1 - erf(x).
-    """
-    if not 0.0 < eps_sm < 0.5:
-        raise ValueError(f"failure probability must lie in (0, 0.5), got {eps_sm}")
-    lo, hi = 0.0, _Z_BRACKET
-    while hi - lo > _Z_TOL:
-        mid = 0.5 * (lo + hi)
-        if math.erfc(mid / math.sqrt(2.0)) > eps_sm:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """z > 0 solving erfc(z/sqrt(2)) = eps_sm: the normal quantile at 1 - eps_sm/2, no bisection."""
+    if not 0.0 < eps_sm / 2.0 < 0.25:  # 5e-324, the least double, halves to 0
+        raise ValueError(f"failure probability must lie in [1e-323, 0.5), got {eps_sm}")
+    from statistics import NormalDist  # here, not at the top: the CLI start-up never needs z
+    return -NormalDist().inv_cdf(eps_sm / 2.0)
 
 
 def _penalty(z: float, sigma_hat2: float | np.ndarray, m: int) -> float | np.ndarray:

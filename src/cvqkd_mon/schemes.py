@@ -212,21 +212,21 @@ def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM) ->
 
     if rate(0.0) <= 0.0:
         return None
+    # lo is the last positive point and hi the first non-positive one after
+    # it, so hi <= lo exactly while the latest point is positive.
     lo = hi = 0.0
-    positive = True
     for d in _coarse_grid(d_max):
         try:
             k = rate(d)
         except ChannelOpaqueError:
-            if positive:
+            if hi <= lo:
                 raise
             break  # the bracket is final: no later point can be evaluated
-        was_positive, positive = positive, k > 0.0
-        if positive:
+        if k > 0.0:
             lo = d
-        elif was_positive:
+        elif hi <= lo:
             hi = d
-    if positive:
+    if hi <= lo:
         return d_max
     while hi - lo > _TOL_KM:
         mid = 0.5 * (lo + hi)

@@ -76,6 +76,10 @@ class TestKeyrate:
         assert code == 1
         assert "one scheme" in err
 
+    def test_one_scheme_named_twice_is_one_scheme(self, capsys):
+        assert run(capsys, "keyrate", "--d", "2", "--scheme", "active,active_switch") \
+            == run(capsys, "keyrate", "--d", "2", "--scheme", "active")
+
     def test_eta_chi_columns(self, capsys):
         _, out, _ = run(capsys, "keyrate", "--d", "50", "--eps", "0.1")
         row = csv_rows(out)[1]
@@ -119,6 +123,13 @@ class TestSweepDistance:
                         "--d-stop", "2")
         schemes = [row[0] for row in csv_rows(out)[1:]]
         assert set(schemes) == {"untrusted", "passive_bs"}
+
+    def test_repeated_schemes_evaluated_once_in_first_seen_order(self, capsys):
+        code, out, err = run(capsys, "sweep-distance", "--scheme",
+                             "passive,untrusted,passive_bs,untrusted", "--d-stop", "1")
+        assert code == 0
+        assert [row[0] for row in csv_rows(out)[1:]] == ["passive_bs"] * 3 + ["untrusted"] * 3
+        assert "swept 2 scheme(s)" in err
 
     def test_empty_range_rejected(self, capsys):
         code, _, err = run(capsys, "sweep-distance", "--d-start", "10",
@@ -203,6 +214,13 @@ class TestFiniteSize:
                              "--trials", "100", "--out", str(path))
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_trials_with_analytic_estimate_exits_one(self, capsys):
+        # the coverage footer needs simulated data, so it is refused, not dropped
+        code, out, err = run(capsys, "finite-size", "--sigma-hat2", "0.1", "--m", "1e8",
+                             "--trials", "1000")
+        assert (code, out) == (1, "")
+        assert "--trials" in err and "--sigma-hat2" in err
 
     def test_tiny_sample_exits_one(self, capsys):
         code, _, err = run(capsys, "finite-size", "--m", "1")
@@ -356,6 +374,16 @@ class TestOutputAndConfig:
         assert proc.returncode == 0
         assert proc.stdout.startswith("scheme,")
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_start_up_does_not_import_statistics(self):
+        # statistics (with fractions and decimal) is loaded only when z is needed
+        src = str(Path(cvqkd_mon.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, cvqkd_mon.cli as c; c.build_parser(); "
+                "print('statistics' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
     def test_scientific_notation_integer_flags(self, capsys):
         code, out, _ = run(capsys, "finite-size", "--sigma-hat2", "0.1",

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -24,7 +25,7 @@ def monitor_outcomes(V, chi_s, m, seed):
     return np.random.Generator(np.random.PCG64(seed)).standard_normal(m) * math.sqrt(V + chi_s)
 
 
-class TestMonitorBatch:
+class TestMleSigma2Input:
     """The batch mle_sigma2 takes: a 1-D array of outcomes and the modulation variance V."""
 
     def test_rejects_empty(self):
@@ -95,9 +96,20 @@ class TestZFromEpsilon:
         eps = 10.0 ** log10_eps
         assert z_from_epsilon(eps) > z_from_epsilon(eps * 2.0)
 
-    @pytest.mark.parametrize("eps", [0.0, 0.5, 0.9, -0.1])
+    @pytest.mark.parametrize("eps", [1e-323, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10,
+                                     1e-5, 1e-3, 0.01, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49])
+    def test_matches_mpmath_root_to_float_precision(self, eps):
+        # a 50-digit root of log erfc(z/sqrt(2)) = log eps, started from the
+        # leading term of the tail asymptotics rather than from the package
+        with mpmath.workdps(50):
+            target = mpmath.log(mpmath.mpf(eps))
+            root = mpmath.findroot(lambda z: mpmath.log(mpmath.erfc(z / mpmath.sqrt(2))) - target,
+                                   mpmath.sqrt(-2 * target))
+            assert math.isclose(z_from_epsilon(eps), float(root), rel_tol=1e-14)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 0.9, -0.1, 5e-324])
     def test_domain_errors(self, eps):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="failure probability"):
             z_from_epsilon(eps)
 
 
@@ -141,7 +153,7 @@ class TestConfidenceBound:
             confidence_bound(sigma_hat2, 1000, 1e-10)
 
 
-class TestSimulateMonitor:
+class TestSimulatedDraw:
     """The simulated monitor outcomes, as simulated_sigma2 estimates them."""
 
     def test_deterministic_for_fixed_seed(self):

@@ -50,7 +50,7 @@ def params(d_km=10.0, eps=0.1, alpha=0.2, **kw) -> ProtocolParams:
 
 # ------------------------------------------------------------- channel maps
 
-class TestDistanceToEta:
+class TestTransmittance:
     """The one transmittance route: ChannelParams(d, alpha_db_per_km=...).eta."""
 
     def test_zero_distance(self):
