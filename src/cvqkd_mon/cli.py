@@ -119,8 +119,10 @@ _FLAGS: dict[str, tuple] = {
 # Most points a grid axis may have; checked from the count, before any allocation.
 _MAX_GRID_POINTS = 1_000_000
 
-# Each scheme by its tag or the tag's first word ("active" for "active_switch").
-_SCHEME_ALIASES = {alias: tag for tag in SCHEMES for alias in (tag, tag.split("_")[0])}
+# The schemes each selector names: a tag, the tag's first word ("active" for
+# "active_switch"), or "all".
+_SCHEME_SELECTORS = {alias: (tag,) for tag in SCHEMES for alias in (tag, tag.split("_")[0])}
+_SCHEME_SELECTORS["all"] = SCHEMES
 
 
 def _flag(key: str) -> str:
@@ -161,13 +163,12 @@ def _parse_schemes(text: str) -> list[str]:
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise _CliError("empty scheme selector")
-    if names == ["all"]:
-        return list(SCHEMES)
     for name in names:
-        if name not in _SCHEME_ALIASES:
+        if name not in _SCHEME_SELECTORS:
             raise _CliError(f"unknown scheme {name!r}; expected one of "
-                            f"{sorted(_SCHEME_ALIASES)} or 'all'")
-    return list(dict.fromkeys(_SCHEME_ALIASES[name] for name in names))  # each once, in order
+                            f"{sorted(_SCHEME_SELECTORS)}")
+    # each once, in order
+    return list(dict.fromkeys(tag for name in names for tag in _SCHEME_SELECTORS[name]))
 
 
 def _grid(cfg: dict, axis: str) -> list[float]:
@@ -238,6 +239,9 @@ def cmd_grid_t(cfg: dict) -> int:
     if taps[0] < 0.01 - 1e-12 or taps[-1] > 0.99 + 1e-12:
         raise _CliError(f"tap grid must stay within [0.01, 0.99], got "
                         f"[{taps[0]}, {taps[-1]}]")
+    if cfg["d_stop"] <= 0.0:
+        raise _CliError(f"--d-stop caps the footer's secure-distance search and must be "
+                        f"positive, got {cfg['d_stop']}")
     distances = _grid(cfg, "d")
     params = _protocol(cfg, distances[0], taps[0])
     lines = ["T,d_km,key_rate"]

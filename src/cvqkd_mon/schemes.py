@@ -195,12 +195,13 @@ def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM) ->
     """Largest distance with a positive key rate, or None if insecure at d=0.
 
     d=0 is evaluated first, so an insecure search returns None after one
-    point.  Otherwise a scan in fixed 0.5 km steps up to `d_max` brackets
-    the last positive point, then bisection narrows the boundary to
-    0.01 km.  If the rate is still positive at `d_max` the cap itself is
-    returned.  A scan that reaches the ETA_FLOOR opacity limit (about 300 km
-    at 0.2 dB/km) stops there once the crossing is bracketed, and raises
-    ChannelOpaqueError while the rate is still positive.
+    point.  Otherwise a scan in fixed 0.5 km steps stops at the first
+    non-positive point, and bisection narrows the boundary between it and
+    the point before to 0.01 km.  This relies on the rate never becoming
+    positive again once lost.  If every point up to `d_max` is positive the
+    cap itself is returned.  A scan that reaches the ETA_FLOOR opacity limit
+    (about 300 km at 0.2 dB/km) while the rate is still positive raises
+    ChannelOpaqueError.
     """
     if not d_max < math.inf:
         raise ValueError(f"search cap must be finite, got d_max={d_max}")
@@ -212,21 +213,12 @@ def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM) ->
 
     if rate(0.0) <= 0.0:
         return None
-    # lo is the last positive point and hi the first non-positive one after
-    # it, so hi <= lo exactly while the latest point is positive.
-    lo = hi = 0.0
-    for d in _coarse_grid(d_max):
-        try:
-            k = rate(d)
-        except ChannelOpaqueError:
-            if hi <= lo:
-                raise
-            break  # the bracket is final: no later point can be evaluated
-        if k > 0.0:
-            lo = d
-        elif hi <= lo:
-            hi = d
-    if hi <= lo:
+    lo = 0.0
+    for hi in _coarse_grid(d_max):
+        if rate(hi) <= 0.0:
+            break
+        lo = hi
+    else:
         return d_max
     while hi - lo > _TOL_KM:
         mid = 0.5 * (lo + hi)

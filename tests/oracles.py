@@ -124,6 +124,44 @@ def secure_distance_brentq(key_at_eta: Callable[[float], float], d_max: float,
     return scipy.optimize.brentq(key, 0.0, d_max, xtol=1e-9)
 
 
+def secure_distance_full_scan(rate: Callable[[float], float], d_max: float) -> float | None:
+    """Secure distance from a key rate evaluated on the whole search grid.
+
+    The grid is k * 0.5 km up to `d_max`, then `d_max` if not on it.  Every
+    grid point is evaluated, and the crossing is bisected to 0.01 km from the
+    *last* positive point to the grid point after it, so this agrees with a
+    search that stops at the first non-positive point only where the rate
+    never becomes positive again.  None if insecure at d=0 and `d_max` if
+    positive on the whole grid.  An exception propagates while every point so
+    far is positive; after a non-positive point the scan ends at the first
+    point that raises (the opacity floor).
+    """
+    if rate(0.0) <= 0.0:
+        return None
+    n = math.floor(d_max / 0.5 + 1e-9)
+    grid = [0.5 * k for k in range(1, n + 1)] + ([d_max] if 0.5 * n < d_max else [])
+    values = []
+    for d in grid:
+        try:
+            values.append(rate(d))
+        except Exception:
+            if min(values, default=1.0) > 0.0:
+                raise
+            break
+    positive = [k for k, v in enumerate(values) if v > 0.0]
+    if len(positive) == len(grid):
+        return d_max
+    k = positive[-1] + 1 if positive else 0
+    lo, hi = (grid[k - 1] if k else 0.0), grid[k]
+    while hi - lo > 0.01:
+        mid = 0.5 * (lo + hi)
+        if rate(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def condition_via_meter_limit(matrix: np.ndarray, mode: int,
                               squeeze: float = 1e-10) -> np.ndarray:
     """Homodyne conditioning as the limit of a finite-squeezing meter.

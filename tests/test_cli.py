@@ -74,7 +74,7 @@ class TestKeyrate:
     def test_multiple_schemes_rejected(self, capsys):
         code, _, err = run(capsys, "keyrate", "--scheme", "all")
         assert code == 1
-        assert "one scheme" in err
+        assert "exactly one scheme" in err
 
     def test_one_scheme_named_twice_is_one_scheme(self, capsys):
         assert run(capsys, "keyrate", "--d", "2", "--scheme", "active,active_switch") \
@@ -131,6 +131,10 @@ class TestSweepDistance:
         assert [row[0] for row in csv_rows(out)[1:]] == ["passive_bs"] * 3 + ["untrusted"] * 3
         assert "swept 2 scheme(s)" in err
 
+    def test_all_inside_a_list_expands(self, capsys):
+        assert run(capsys, "sweep-distance", "--scheme", "all,untrusted", "--d-stop", "1") \
+            == run(capsys, "sweep-distance", "--scheme", "all", "--d-stop", "1")
+
     def test_empty_range_rejected(self, capsys):
         code, _, err = run(capsys, "sweep-distance", "--d-start", "10",
                            "--d-stop", "5")
@@ -161,6 +165,19 @@ class TestGridT:
         code, _, err = run(capsys, "grid-T", "--T-stop", "1.0")
         assert code == 1
         assert "0.99" in err
+
+    @pytest.mark.parametrize("d_stop", ["0", "-1"])
+    def test_nonpositive_search_cap_rejected_before_any_point(self, d_stop, capsys,
+                                                              monkeypatch):
+        import cvqkd_mon.schemes as schemes
+
+        calls = []
+        for namespace in (cli, schemes):
+            monkeypatch.setattr(namespace, "keyrate_at_distance",
+                                lambda *args: calls.append(args))
+        code, out, err = run(capsys, "grid-T", "--d-stop", d_stop)
+        assert (code, out, calls) == (1, "", [])
+        assert "--d-stop caps the footer's secure-distance search" in err
 
     def test_insecure_grid_has_empty_footer_entries(self, capsys):
         code, out, _ = run(capsys, "grid-T", "--beta", "0", "--T-start", "0.4",

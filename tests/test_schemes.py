@@ -25,6 +25,7 @@ from cvqkd_mon import (
     ChannelParams,
     KeyRateBreakdown,
     ProtocolParams,
+    UnphysicalStateError,
     apply_beamsplitter,
     evaluate_keyrate,
     keyrate_at_distance,
@@ -38,6 +39,7 @@ from cvqkd_mon import (
 from oracles import (
     active_keyrate_scalar,
     passive_keyrate_scalar,
+    secure_distance_full_scan,
     thermal_input_holevo_scalar,
     untrusted_keyrate_scalar,
 )
@@ -406,8 +408,11 @@ class TestSecureDistance:
         p = params(beta=0.0)
         assert secure_distance(SCHEME_UNTRUSTED, p) is None
 
-    def test_insecure_search_decided_in_one_point(self, monkeypatch):
-        # d=0 is evaluated first, so an insecure search never scans the grid
+    @pytest.mark.parametrize("case", ["insecure", "normal", "capped"])
+    def test_scan_stops_at_first_insecure_point(self, case, monkeypatch):
+        # d=0 is evaluated first, so an insecure search never scans the grid;
+        # otherwise the 0.5 km scan ends at the first non-positive point, or
+        # walks the whole grid when the rate stays positive up to the cap
         import cvqkd_mon.schemes as schemes
 
         calls = []
@@ -416,9 +421,62 @@ class TestSecureDistance:
             calls.append(d_km)
             return keyrate_at_distance(scheme, p, d_km)
 
+        scheme, p, d_max = {
+            "insecure": (SCHEME_UNTRUSTED, params(beta=0.0), 100.0),
+            "normal": (SCHEME_PASSIVE, params(), 100.0),
+            "capped": (SCHEME_UNTRUSTED, params(eps=0.0, chi_s=0.0, beta=1.0), 10.2),
+        }[case]
         monkeypatch.setattr(schemes, "keyrate_at_distance", counting)
-        assert secure_distance(SCHEME_UNTRUSTED, params(beta=0.0), d_max=100.0) is None
-        assert calls == [0.0]
+        d_star = secure_distance(scheme, p, d_max=d_max)
+        if case == "insecure":
+            assert d_star is None
+            assert calls == [0.0]
+        elif case == "capped":
+            assert d_star == d_max
+            assert calls == [0.5 * k for k in range(21)] + [10.2]
+        else:
+            # the scan is the leading run of grid points; bisection midpoints
+            # lie off the grid
+            last = calls[next(k for k, d in enumerate(calls) if d != 0.5 * k) - 1]
+            assert keyrate_at_distance(scheme, p, last).key_rate <= 0.0
+            assert keyrate_at_distance(scheme, p, last - 0.5).key_rate > 0.0
+            assert last - 0.5 < d_star < last
+            assert len(calls) <= math.ceil(d_star / 0.5) + 8
+
+    def test_matches_full_scan_reference(self):
+        # the early stop relies on the rate never turning positive again;
+        # the reference evaluates every grid point up to the cap instead
+        rng = np.random.default_rng(1)
+        outcomes = set()
+        for _ in range(30):
+            scheme = SCHEMES[int(rng.integers(0, 3))]
+            lossless = rng.random() < 0.2
+            p = params(d_km=0.0,
+                       eps=0.0 if lossless else float(rng.uniform(0.0, 0.1)),
+                       alpha=float(10 ** rng.uniform(math.log10(0.15), math.log10(2.0))),
+                       V=float(10 ** rng.uniform(0.0, 6.0)),
+                       chi_s=0.0 if lossless else float(rng.uniform(0.0, 0.3)),
+                       beta=1.0 if lossless else float(rng.uniform(0.8, 1.0)),
+                       r=float(rng.uniform(0.0, 0.9)),
+                       T=float(rng.uniform(0.05, 1.0)))
+            d_max = float(10 ** rng.uniform(math.log10(0.3), math.log10(400.0)))
+
+            def rate(d, scheme=scheme, p=p):
+                return keyrate_at_distance(scheme, p, d).key_rate
+
+            results = []
+            for search in (functools.partial(secure_distance, scheme, p, d_max),
+                           functools.partial(secure_distance_full_scan, rate, d_max)):
+                try:
+                    results.append(search())
+                except ValueError as exc:
+                    results.append(type(exc))
+            assert results[0] == results[1], (scheme, p, d_max)
+            d_star = results[0]
+            outcomes.add("normal" if isinstance(d_star, float) and d_star < d_max
+                         else "capped" if d_star == d_max else d_star)
+        # every way a search can end is among the cases
+        assert outcomes == {None, "normal", "capped", ChannelOpaqueError, UnphysicalStateError}
 
     def test_bisection_matches_fine_grid_scan(self):
         rng = np.random.default_rng(2024)
@@ -464,8 +522,9 @@ class TestSecureDistance:
     def test_huge_cap_runs_in_bounded_memory(self):
         # The coarse grid is walked, never materialised: with a cap of 1e300
         # an insecure point stops at d=0, the reference point (insecure from
-        # 0.22 km) at the opacity floor with its crossing, and a lossless
-        # point, still secure there, raises at the first scan point past it.
+        # 0.22 km) at its first non-positive point, 0.5 km, and a lossless
+        # point, still secure at the opacity floor, raises at the first scan
+        # point past it.
         # The child's address space is capped at 1 GiB, so a grid that is
         # built as a list fails fast.
         script = textwrap.dedent("""
