@@ -265,6 +265,8 @@ def cmd_grid_t(cfg: dict) -> int:
 
 def cmd_finite_size(cfg: dict) -> int:
     m, eps_sm = cfg["m"], cfg["eps_sm"]
+    if cfg["trials"] < 0:
+        raise _CliError(f"--trials must be >= 0, got {cfg['trials']}")
     if cfg["sigma_hat2"] is not None:
         if cfg["trials"] > 0:
             raise _CliError("--trials needs simulated data; drop it or --sigma-hat2")
@@ -275,6 +277,8 @@ def cmd_finite_size(cfg: dict) -> int:
                       _fmt(est.z), _fmt(est.delta_chi_s), _fmt(est.sigma_min2)]),
         ]
     else:
+        if cfg["seed"] < 0:
+            raise _CliError(f"--seed must be >= 0, got {cfg['seed']}")
         # The coverage trials draw from a separate stream, so this row does
         # not depend on --trials.
         est = confidence_bound(simulated_sigma2(cfg["V"], cfg["chi_s"], m, cfg["seed"]),

@@ -125,8 +125,11 @@ def test_criterion_1_scheme_comparison_distances():
 
 
 def test_criterion_2_tap_grid_optimum(tmp_path):
+    # The footer searches each tap up to --d-stop (default 40 km) whatever
+    # the --d-* grid, so a one-distance grid at 40 km writes default grid-T's
+    # footer without its 7,920 other grid rows, which are not read here.
     out = tmp_path / "grid.csv"
-    code = cli_main(["grid-T", "--out", str(out)])
+    code = cli_main(["grid-T", "--d-start", str(GRID_D_MAX), "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
     footer = lines[lines.index("T,secure_distance_km") + 1:]

@@ -165,6 +165,11 @@ class TestGridT:
         code, _, err = run(capsys, "grid-T", "--T-stop", "1.0")
         assert code == 1
         assert "0.99" in err
+        # just outside [0.01, 0.99] at either end
+        for tap in ("0.995", "0.005"):
+            code, out, err = run(capsys, "grid-T", "--T-start", tap, "--T-stop", tap)
+            assert (code, out) == (1, ""), tap
+            assert "0.99" in err
 
     @pytest.mark.parametrize("d_stop", ["0", "-1"])
     def test_nonpositive_search_cap_rejected_before_any_point(self, d_stop, capsys,
@@ -238,6 +243,16 @@ class TestFiniteSize:
                              "--trials", "1000")
         assert (code, out) == (1, "")
         assert "--trials" in err and "--sigma-hat2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--m", "1000", "--trials", "-5"), ("--sigma-hat2", "0.1", "--trials", "-5"),
+        ("--m", "1000", "--seed", "-3"),
+    ], ids=["simulated-trials", "analytic-trials", "simulated-seed"])
+    def test_negative_count_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, "finite-size", *argv)
+        assert (code, out) == (1, "")
+        flag, value = argv[-2:]
+        assert f"{flag} must be >= 0, got {value}" in err
 
     def test_tiny_sample_exits_one(self, capsys):
         code, _, err = run(capsys, "finite-size", "--m", "1")
