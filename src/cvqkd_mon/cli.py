@@ -89,6 +89,9 @@ def _integer(text: str) -> int:
 
 _integer.__name__ = "integer"  # argparse names the type in "invalid integer value"
 
+# The taps grid-T may evaluate, which are also its default tap grid.
+_TAP_RANGE = (0.01, 0.99)
+
 # Every flag, once: dest -> (type, default, help).  The flag is "--" + dest
 # with "_" as "-"; a default of None is shown in no help line.
 _FLAGS: dict[str, tuple] = {
@@ -110,8 +113,8 @@ _FLAGS: dict[str, tuple] = {
     "d_start": (float, 0.0, "sweep start, km"),
     "d_stop": (float, 40.0, "sweep stop, km"),
     "d_step": (float, 0.5, "sweep step, km"),
-    "T_start": (float, 0.01, "tap grid start"),
-    "T_stop": (float, 0.99, "tap grid stop"),
+    "T_start": (float, _TAP_RANGE[0], "tap grid start"),
+    "T_stop": (float, _TAP_RANGE[1], "tap grid stop"),
     "T_step": (float, 0.01, "tap grid step"),
     "sigma_hat2": (float, None, "analytic mode: use this estimate instead of simulating"),
 }
@@ -236,8 +239,9 @@ def cmd_sweep_distance(cfg: dict) -> int:
 
 def cmd_grid_t(cfg: dict) -> int:
     taps = _grid(cfg, "T")
-    if taps[0] < 0.01 - 1e-12 or taps[-1] > 0.99 + 1e-12:
-        raise _CliError(f"tap grid must stay within [0.01, 0.99], got "
+    lo, hi = _TAP_RANGE
+    if taps[0] < lo - 1e-12 or taps[-1] > hi + 1e-12:
+        raise _CliError(f"tap grid must stay within [{lo}, {hi}], got "
                         f"[{taps[0]}, {taps[-1]}]")
     if cfg["d_stop"] <= 0.0:
         raise _CliError(f"--d-stop caps the footer's secure-distance search and must be "
@@ -279,8 +283,11 @@ def cmd_finite_size(cfg: dict) -> int:
     else:
         if cfg["seed"] < 0:
             raise _CliError(f"--seed must be >= 0, got {cfg['seed']}")
-        # The coverage trials draw from a separate stream, so this row does
-        # not depend on --trials.
+        # The coverage trials draw from a separate stream, so they run first:
+        # a refused --trials then costs no m-sample draw.
+        report = (coverage_diagnostic(cfg["V"], cfg["chi_s"], m, eps_sm,
+                                      cfg["trials"], cfg["seed"])
+                  if cfg["trials"] > 0 else None)
         est = confidence_bound(simulated_sigma2(cfg["V"], cfg["chi_s"], m, cfg["seed"]),
                                m, eps_sm)
         lines = [
@@ -289,9 +296,7 @@ def cmd_finite_size(cfg: dict) -> int:
                       _fmt(est.epsilon_sm), _fmt(est.sigma_hat2), _fmt(est.z),
                       _fmt(est.delta_chi_s), _fmt(est.sigma_min2)]),
         ]
-        if cfg["trials"] > 0:
-            report = coverage_diagnostic(cfg["V"], cfg["chi_s"], m, eps_sm,
-                                         cfg["trials"], cfg["seed"])
+        if report is not None:
             lines.append("trials,failure_rate,mean_sigma_hat2,std_sigma_hat2,"
                          "assumed_dispersion,moment_dispersion")
             lines.append(",".join([str(report.trials), _fmt(report.failure_rate),

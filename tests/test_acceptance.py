@@ -35,20 +35,22 @@ from cvqkd_mon import (
     SCHEMES,
     ChannelParams,
     ProtocolParams,
-    apply_beamsplitter,
-    apply_fiber_channel,
     confidence_bound,
-    epr_state,
     evaluate_keyrate,
     keyrate_at_distance,
-    noisy_source_state,
     secure_distance,
     simulated_sigma2,
+    z_from_epsilon,
+)
+from cvqkd_mon.gaussian import (
+    apply_beamsplitter,
+    apply_fiber_channel,
+    epr_state,
+    noisy_source_state,
     symplectic_spectrum,
     tensor,
     vacuum_state,
     von_neumann_entropy,
-    z_from_epsilon,
 )
 from cvqkd_mon.cli import main as cli_main
 

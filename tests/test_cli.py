@@ -254,6 +254,13 @@ class TestFiniteSize:
         flag, value = argv[-2:]
         assert f"{flag} must be >= 0, got {value}" in err
 
+    def test_too_few_trials_exit_one_before_the_batch_is_drawn(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulated_sigma2", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "finite-size", "--m", "1e7", "--trials", "50")
+        assert (code, out, calls) == (1, "", [])
+        assert "need at least 100 trials" in err
+
     def test_tiny_sample_exits_one(self, capsys):
         code, _, err = run(capsys, "finite-size", "--m", "1")
         assert code == 1

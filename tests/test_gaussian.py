@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqkd_mon import (
+from cvqkd_mon import UnphysicalStateError
+from cvqkd_mon.gaussian import (
     CovarianceMatrix,
-    UnphysicalStateError,
     apply_beamsplitter,
     apply_fiber_channel,
     condition_on_homodyne,

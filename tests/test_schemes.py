@@ -26,15 +26,12 @@ from cvqkd_mon import (
     KeyRateBreakdown,
     ProtocolParams,
     UnphysicalStateError,
-    apply_beamsplitter,
     evaluate_keyrate,
     keyrate_at_distance,
-    noisy_source_state,
     optimize_T,
     secure_distance,
-    tensor,
-    vacuum_state,
 )
+from cvqkd_mon.gaussian import apply_beamsplitter, noisy_source_state, tensor, vacuum_state
 
 from oracles import (
     active_keyrate_scalar,
