@@ -50,6 +50,7 @@ from .finite_size import (
     confidence_bound,
     coverage_diagnostic,
     simulated_sigma2,
+    z_from_epsilon,
 )
 from .schemes import (
     SCHEME_PASSIVE,
@@ -226,7 +227,7 @@ def cmd_keyrate(cfg: dict) -> int:
 def cmd_sweep_distance(cfg: dict) -> int:
     schemes = _parse_schemes("all" if cfg["scheme"] is None else cfg["scheme"])
     distances = _grid(cfg, "d")
-    params = _protocol(cfg, distances[0], cfg["T"])
+    params = _protocol(cfg, distances[-1], cfg["T"])  # refuses an opaque grid before any row
     lines = ["scheme,d_km,key_rate"]
     for scheme in schemes:
         for d in distances:
@@ -247,7 +248,7 @@ def cmd_grid_t(cfg: dict) -> int:
         raise _CliError(f"--d-stop caps the footer's secure-distance search and must be "
                         f"positive, got {cfg['d_stop']}")
     distances = _grid(cfg, "d")
-    params = _protocol(cfg, distances[0], taps[0])
+    params = _protocol(cfg, distances[-1], taps[0])  # as in sweep-distance
     lines = ["T,d_km,key_rate"]
     for T in taps:
         p_t = replace(params, T=T)
@@ -283,6 +284,7 @@ def cmd_finite_size(cfg: dict) -> int:
     else:
         if cfg["seed"] < 0:
             raise _CliError(f"--seed must be >= 0, got {cfg['seed']}")
+        z_from_epsilon(eps_sm)  # a bad --eps-sm costs no draw either
         # The coverage trials draw from a separate stream, so they run first:
         # a refused --trials then costs no m-sample draw.
         report = (coverage_diagnostic(cfg["V"], cfg["chi_s"], m, eps_sm,

@@ -64,8 +64,7 @@ def mle_sigma2(samples: np.ndarray, V: float) -> float:
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise ValueError(f"need a 1-D array of at least 2 monitor samples, got shape {y.shape}")
-    if not 1.0 <= V < math.inf:
-        raise ValueError(f"modulation variance must be >= 1, got V={V}")
+    _check_source(V, 0.0, y.size)
     hat = float(np.mean(y ** 2) - V)
     if not math.isfinite(hat):
         raise ValueError(f"estimated source-noise variance must be finite, got {hat}")

@@ -52,8 +52,8 @@ SCHEME_ACTIVE = "active_switch"
 SCHEME_PASSIVE = "passive_bs"
 SCHEMES = (SCHEME_UNTRUSTED, SCHEME_ACTIVE, SCHEME_PASSIVE)
 
-#: Below this transmittance the channel-noise parameter chi diverges and
-#: key rates are meaningless; evaluations refuse to proceed.
+#: Below this transmittance, 60/alpha km of fiber, chi diverges and key rates
+#: are meaningless; ChannelParams refuses an opaque span.
 ETA_FLOOR = 1e-6
 
 _D_MAX_KM = 100.0  # default secure-distance search cap, km
@@ -67,7 +67,10 @@ class ChannelOpaqueError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Fiber span: length, attenuation and input-referred excess noise."""
+    """Fiber span: length, attenuation and input-referred excess noise.
+
+    A span with eta below ETA_FLOOR raises ChannelOpaqueError.
+    """
 
     distance_km: float
     epsilon: float = 0.1
@@ -80,6 +83,9 @@ class ChannelParams:
             raise ValueError(f"excess noise must be >= 0, got {self.epsilon}")
         if not 0.0 < self.alpha_db_per_km < math.inf:
             raise ValueError(f"attenuation must be > 0 dB/km, got {self.alpha_db_per_km}")
+        if self.eta < ETA_FLOOR:
+            raise ChannelOpaqueError(f"channel opaque: eta={self.eta:.3e} below {ETA_FLOOR} "
+                                     f"(distance {self.distance_km} km)")
 
     @property
     def eta(self) -> float:
@@ -144,13 +150,6 @@ class KeyRateBreakdown:
         return self.key_rate > 0.0
 
 
-def _check_transparent(channel: ChannelParams) -> None:
-    if channel.eta < ETA_FLOOR:
-        raise ChannelOpaqueError(
-            f"channel opaque: eta={channel.eta:.3e} below {ETA_FLOOR} "
-            f"(distance {channel.distance_km} km)")
-
-
 def _transmit(source: CovarianceMatrix, p: ProtocolParams, tap: bool) -> CovarianceMatrix:
     """Signal mode 1 through the optional tap (vacuum enters as mode 2), then the fiber."""
     if tap:
@@ -162,7 +161,6 @@ def evaluate_keyrate(scheme: str, p: ProtocolParams) -> KeyRateBreakdown:
     """I(a:b), S(E:b) and the key rate of `scheme` (see the module table)."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme tag {scheme!r}; expected one of {SCHEMES}")
-    _check_transparent(p.channel)
     tap = scheme == SCHEME_PASSIVE  # even at T=1: passive stays on its three-mode states
     actual = _transmit(noisy_source_state(p.V, p.chi_s), p, tap)
     m = actual.matrix
@@ -200,8 +198,8 @@ def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM) ->
     the point before to 0.01 km.  This relies on the rate never becoming
     positive again once lost.  If every point up to `d_max` is positive the
     cap itself is returned.  A scan that reaches the ETA_FLOOR opacity limit
-    (about 300 km at 0.2 dB/km) while the rate is still positive raises
-    ChannelOpaqueError.
+    (60/alpha km) while the rate is still positive raises ChannelOpaqueError
+    from the ChannelParams of the first point past it.
     """
     if not d_max < math.inf:
         raise ValueError(f"search cap must be finite, got d_max={d_max}")

@@ -141,6 +141,13 @@ class TestSweepDistance:
         assert code == 1
         assert "range" in err
 
+    def test_opaque_grid_exits_one_before_any_point(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "keyrate_at_distance", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "sweep-distance", "--d-stop", "400")
+        assert (code, out, calls) == (1, "", [])
+        assert "channel opaque: eta=1.000e-08" in err and "(distance 400.0 km)" in err
+
 
 # ----------------------------------------------------------------- grid-T
 
@@ -183,6 +190,20 @@ class TestGridT:
         code, out, err = run(capsys, "grid-T", "--d-stop", d_stop)
         assert (code, out, calls) == (1, "", [])
         assert "--d-stop caps the footer's secure-distance search" in err
+
+    def test_opaque_grid_exits_one_before_any_point(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "keyrate_at_distance", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "grid-T", "--d-stop", "310")
+        assert (code, out, calls) == (1, "", [])
+        assert "channel opaque" in err and "(distance 310.0 km)" in err
+
+    def test_grid_ending_inside_the_floor_runs_past_the_stop(self, capsys):
+        # --d-stop lies past 300 km, but the last row is 300.0 km, which is evaluable
+        code, out, _ = run(capsys, "grid-T", "--T-start", "0.5", "--T-stop", "0.5",
+                           "--d-start", "300", "--d-stop", "300.3", "--d-step", "0.5")
+        assert code == 0
+        assert csv_rows(out)[1][:2] == ["0.5", "300"]
 
     def test_insecure_grid_has_empty_footer_entries(self, capsys):
         code, out, _ = run(capsys, "grid-T", "--beta", "0", "--T-start", "0.4",
@@ -260,6 +281,15 @@ class TestFiniteSize:
         code, out, err = run(capsys, "finite-size", "--m", "1e7", "--trials", "50")
         assert (code, out, calls) == (1, "", [])
         assert "need at least 100 trials" in err
+
+    @pytest.mark.parametrize("eps_sm", ["0.7", "nan"])
+    def test_bad_failure_probability_exits_one_before_the_batch_is_drawn(
+            self, eps_sm, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "simulated_sigma2", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "finite-size", "--m", "1000", "--eps-sm", eps_sm)
+        assert (code, out, calls) == (1, "", [])
+        assert "failure probability must lie in" in err
 
     def test_tiny_sample_exits_one(self, capsys):
         code, _, err = run(capsys, "finite-size", "--m", "1")

@@ -183,7 +183,7 @@ class TestSimulatedDraw:
         simulated_sigma2(2.0, 0.1, 10, seed=1)
         assert drawn == [(10,)]  # the hook sees the draw of a valid call
         drawn.clear()
-        for V, chi_s, m in [(0.5, 0.1, 10), (2.0, -0.1, 10), (2.0, 0.1, 1)]:
+        for V, chi_s, m in [(0.5, 0.1, 10), (2.0, -0.1, 10), (2.0, 0.1, 1), (2.0, 0.1, 0)]:
             with pytest.raises(ValueError):
                 simulated_sigma2(V, chi_s, m, seed=1)
         assert drawn == []

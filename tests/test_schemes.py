@@ -78,6 +78,20 @@ class TestChannelParams:
         with pytest.raises(ChannelOpaqueError):
             evaluate_keyrate(SCHEME_PASSIVE, params(d_km=math.inf))
 
+    def test_opaque_span_does_not_construct(self):
+        with pytest.raises(ChannelOpaqueError, match=r"eta=1\.000e-08 .*\(distance 400\.0 km\)"):
+            ChannelParams(400.0)
+
+    @pytest.mark.parametrize("alpha", [0.15, 0.2, 0.3])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_domain_ends_at_the_opacity_floor(self, scheme, alpha):
+        # eta = 1e-6 at 60/alpha km: a point just inside evaluates, one just past it raises
+        edge = 60.0 / alpha
+        p = params(alpha=alpha)
+        assert math.isfinite(keyrate_at_distance(scheme, p, 0.999 * edge).key_rate)
+        with pytest.raises(ChannelOpaqueError):
+            keyrate_at_distance(scheme, p, 1.001 * edge)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="distance"):
             ChannelParams(distance_km=-1.0, epsilon=0.1)
