@@ -179,27 +179,18 @@ def keyrate_at_distance(scheme: str, p: ProtocolParams, d_km: float) -> KeyRateB
     return evaluate_keyrate(scheme, replace(p, channel=replace(p.channel, distance_km=d_km)))
 
 
-def _coarse_grid(d_max: float):
-    """The scan points k * 0.5 km for k >= 1 up to `d_max`, then `d_max` if not on it."""
-    k = 1
-    while k <= d_max / _COARSE_STEP_KM + 1e-9:
-        yield k * _COARSE_STEP_KM
-        k += 1
-    if (k - 1) * _COARSE_STEP_KM < d_max:
-        yield d_max
-
-
 def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM) -> float | None:
     """Largest distance with a positive key rate, or None if insecure at d=0.
 
-    d=0 is evaluated first, so an insecure search returns None after one
-    point.  Otherwise a scan in fixed 0.5 km steps stops at the first
-    non-positive point, and bisection narrows the boundary between it and
-    the point before to 0.01 km.  This relies on the rate never becoming
-    positive again once lost.  If every point up to `d_max` is positive the
-    cap itself is returned.  A scan that reaches the ETA_FLOOR opacity limit
-    (60/alpha km) while the rate is still positive raises ChannelOpaqueError
-    from the ChannelParams of the first point past it.
+    One walk evaluates d=0, then steps of 0.5 km, then `d_max` itself, and
+    never a point past `d_max`.  It stops at the first non-positive point:
+    None if that is d=0, and otherwise bisection narrows the boundary
+    between it and the point before to 0.01 km.  This relies on the rate
+    never becoming positive again once lost.  If every point up to `d_max`
+    is positive the cap itself is returned.  A walk that reaches the
+    ETA_FLOOR opacity limit (60/alpha km) while the rate is still positive
+    raises ChannelOpaqueError from the ChannelParams of the first point
+    past it.
     """
     if not d_max < math.inf:
         raise ValueError(f"search cap must be finite, got d_max={d_max}")
@@ -209,15 +200,13 @@ def secure_distance(scheme: str, p: ProtocolParams, d_max: float = _D_MAX_KM) ->
     def rate(d: float) -> float:
         return keyrate_at_distance(scheme, p, d).key_rate
 
-    if rate(0.0) <= 0.0:
+    lo, hi = None, 0.0
+    while rate(hi) > 0.0:
+        if hi == d_max:
+            return d_max
+        lo, hi = hi, min(hi + _COARSE_STEP_KM, d_max)
+    if lo is None:
         return None
-    lo = 0.0
-    for hi in _coarse_grid(d_max):
-        if rate(hi) <= 0.0:
-            break
-        lo = hi
-    else:
-        return d_max
     while hi - lo > _TOL_KM:
         mid = 0.5 * (lo + hi)
         if rate(mid) > 0.0:

@@ -138,7 +138,7 @@ def secure_distance_full_scan(rate: Callable[[float], float], d_max: float) -> f
     """
     if rate(0.0) <= 0.0:
         return None
-    n = math.floor(d_max / 0.5 + 1e-9)
+    n = math.floor(d_max / 0.5)
     grid = [0.5 * k for k in range(1, n + 1)] + ([d_max] if 0.5 * n < d_max else [])
     values = []
     for d in grid:
