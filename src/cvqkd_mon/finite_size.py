@@ -18,19 +18,26 @@ Monte Carlo truth so the discrepancy stays visible.
 
 Randomness contract: all synthetic data comes from numpy's PCG64 stream
 (ziggurat normal variates), seeded explicitly, so it is reproducible
-bit-for-bit across platforms.  The m monitor outcomes of seed s are
-PCG64(s).standard_normal(m) * sqrt(V + sigma_s^2).  The coverage diagnostic
-draws its trials from PCG64(s).jumped(), a stream independent of them: since
-sum(y_i^2)/(V + sigma_s^2) is chi-squared with m degrees of freedom, each
-trial is one chi-squared variate rather than m normal ones.
+bit-for-bit across platforms within one numpy version; NEP 19 lets a numpy
+release change a Generator's distribution streams.  The m monitor outcomes
+of seed s are PCG64(s).standard_normal(m) * sqrt(V + sigma_s^2).  The
+coverage diagnostic draws its trials from PCG64(s).jumped(), a stream
+independent of them: since sum(y_i^2)/(V + sigma_s^2) is chi-squared with m
+degrees of freedom, each trial is one chi-squared variate rather than m
+normal ones.
+
+numpy is imported inside the functions that draw or average, so the
+analytic bound (:func:`confidence_bound`) never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default failure probability for the confidence bound.
 DEFAULT_EPSILON_SM = 1e-10
@@ -61,6 +68,7 @@ def mle_sigma2(samples: np.ndarray, V: float) -> float:
     flagged downstream (see :class:`FiniteSizeEstimate.negative_estimate`)
     rather than clamped.  A non-finite V or estimate raises ValueError.
     """
+    import numpy as np
     y = np.asarray(samples, dtype=float)
     if y.ndim != 1 or y.size < 2:
         raise ValueError(f"need a 1-D array of at least 2 monitor samples, got shape {y.shape}")
@@ -119,6 +127,7 @@ def simulated_sigma2(V: float, chi_s: float, m: int, seed: int) -> float:
     averaged in place, so only one m-sample array is ever held.
     """
     _check_source(V, chi_s, m)
+    import numpy as np
     y = np.random.Generator(np.random.PCG64(seed)).standard_normal(m)
     np.multiply(y, math.sqrt(V + chi_s), out=y)
     np.square(y, out=y)
@@ -161,6 +170,7 @@ def coverage_diagnostic(V: float, chi_s: float, m: int, eps_sm: float,
     _check_source(V, chi_s, m)
     z = z_from_epsilon(eps_sm)
 
+    import numpy as np
     rng = np.random.Generator(np.random.PCG64(seed).jumped())
     hats = (V + chi_s) * rng.chisquare(m, trials) / m - V
     failures = int(np.count_nonzero(hats - _penalty(z, hats, m) > chi_s))

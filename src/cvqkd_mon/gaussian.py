@@ -10,21 +10,32 @@ Conventions used throughout:
 All operations are pure functions: they never mutate their inputs and the
 matrices they return are read-only, so values can be shared freely between
 threads.
+
+numpy is imported inside the functions that compute with it, so importing
+this module (and the CLI's start-up) does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-#: Pauli-z block appearing in the correlation blocks of two-mode states.
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+if TYPE_CHECKING:
+    import numpy as np
 
 _SYMMETRY_RTOL = 1e-12   # constructor gate on |m - m.T|
 _NU_CLAMP = 1e-6         # eigenvalues in [1 - _NU_CLAMP, 1) are treated as 1
 _RESIDUE_TOL = 1e-9      # tolerated real residue of the eigenvalues of Omega@gamma
+
+
+def __getattr__(name: str):
+    """SIGMA_Z, the Pauli-z block of two-mode correlations, as a new array per access."""
+    if name == "SIGMA_Z":
+        import numpy as np
+        return np.array([[1.0, 0.0], [0.0, -1.0]])
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UnphysicalStateError(ValueError):
@@ -48,6 +59,7 @@ class CovarianceMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 or m.shape[0] == 0:
             raise ValueError(f"covariance matrix must be square with even dimension, got shape {m.shape}")
@@ -72,11 +84,13 @@ class CovarianceMatrix:
 
 def vacuum_state() -> CovarianceMatrix:
     """Single-mode vacuum: the 2 x 2 identity."""
+    import numpy as np
     return CovarianceMatrix(np.eye(2))
 
 
 def tensor(a: CovarianceMatrix, b: CovarianceMatrix) -> CovarianceMatrix:
     """Product state: block-diagonal stack of two covariance matrices."""
+    import numpy as np
     na, nb = a.matrix.shape[0], b.matrix.shape[0]
     m = np.zeros((na + nb, na + nb))
     m[:na, :na] = a.matrix
@@ -104,9 +118,13 @@ def noisy_source_state(V: float, chi_s: float) -> CovarianceMatrix:
         raise ValueError(f"EPR variance must be finite and >= 1 shot-noise unit, got V={V}")
     if not 0.0 <= chi_s < math.inf:
         raise ValueError(f"source-noise variance must be finite and >= 0, got chi_s={chi_s}")
+    import numpy as np
     c = math.sqrt(V * V - 1.0)
-    eye = np.eye(2)
-    return CovarianceMatrix(np.block([[V * eye, c * SIGMA_Z], [c * SIGMA_Z, (V + chi_s) * eye]]))
+    b = V + chi_s
+    return CovarianceMatrix(np.array([[V, 0.0, c, 0.0],
+                                      [0.0, V, 0.0, -c],
+                                      [c, 0.0, b, 0.0],
+                                      [0.0, -c, 0.0, b]]))
 
 
 def apply_beamsplitter(cm: CovarianceMatrix, i: int, j: int, T: float) -> CovarianceMatrix:
@@ -128,6 +146,7 @@ def apply_beamsplitter(cm: CovarianceMatrix, i: int, j: int, T: float) -> Covari
         raise ValueError("beamsplitter needs two distinct modes")
     if not 0.0 <= T <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got T={T}")
+    import numpy as np
     rt, rr = math.sqrt(T), math.sqrt(1.0 - T)
     s = np.eye(2 * cm.n_modes)
     si, sj = slice(2 * i, 2 * i + 2), slice(2 * j, 2 * j + 2)
@@ -152,6 +171,7 @@ def apply_fiber_channel(cm: CovarianceMatrix, mode: int, eta: float, eps: float)
         raise ValueError(f"transmittance must lie in (0, 1], got eta={eta}")
     if eps < 0.0:
         raise ValueError(f"excess noise must be >= 0, got eps={eps}")
+    import numpy as np
     m = cm.matrix.copy()
     sl = slice(2 * mode, 2 * mode + 2)
     root = math.sqrt(eta)
@@ -159,6 +179,15 @@ def apply_fiber_channel(cm: CovarianceMatrix, mode: int, eta: float, eps: float)
     m[:, sl] *= root
     m[sl, sl] += ((1.0 - eta) + eta * eps) * np.eye(2)
     return CovarianceMatrix(m)
+
+
+@functools.cache
+def _symplectic_form(n_modes: int) -> np.ndarray:
+    """Omega for n modes, the direct sum of [[0, 1], [-1, 0]] blocks; read-only, built once per n."""
+    import numpy as np
+    omega = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    omega.setflags(write=False)
+    return omega
 
 
 def symplectic_spectrum(cm: CovarianceMatrix) -> np.ndarray:
@@ -170,8 +199,8 @@ def symplectic_spectrum(cm: CovarianceMatrix) -> np.ndarray:
     and nu >= 1 for every physical state.  Computed for any n from the
     eigenvalues of Omega @ gamma.
     """
-    omega = np.kron(np.eye(cm.n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    evals = np.linalg.eigvals(omega @ cm.matrix)
+    import numpy as np
+    evals = np.linalg.eigvals(_symplectic_form(cm.n_modes) @ cm.matrix)
     scale = max(1.0, float(np.abs(evals).max()))
     residue = float(np.abs(evals.real).max())
     if residue > _RESIDUE_TOL * scale:
@@ -223,6 +252,7 @@ def condition_on_homodyne(cm: CovarianceMatrix, mode: int) -> CovarianceMatrix:
     bxx = float(cm.matrix[2 * mode, 2 * mode])
     if bxx <= 0.0:
         raise ValueError(f"measured x-variance must be positive, got {bxx}")
+    import numpy as np
     rest = [k for m in range(cm.n_modes) if m != mode for k in (2 * m, 2 * m + 1)]
     cx = cm.matrix[np.ix_(rest, [2 * mode])]
     reduced = cm.matrix[np.ix_(rest, rest)]

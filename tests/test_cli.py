@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -444,15 +445,32 @@ class TestOutputAndConfig:
         assert proc.stdout.startswith("scheme,")
         assert "RuntimeWarning" not in proc.stderr
 
-    def test_start_up_does_not_import_statistics(self):
-        # statistics (with fractions and decimal) is loaded only when z is needed
+    def test_start_up_loads_neither_statistics_nor_numpy(self):
+        # statistics (with fractions and decimal) is loaded only when z is
+        # needed, numpy only with the first key rate or simulated draw
         src = str(Path(cvqkd_mon.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = ("import sys, cvqkd_mon.cli as c; c.build_parser(); "
-                "print('statistics' in sys.modules)")
+        code = textwrap.dedent("""
+            import sys
+            from cvqkd_mon import UnphysicalStateError, cli
+
+            def loaded():
+                return sorted({"numpy", "statistics"} & set(sys.modules))
+
+            cli.build_parser()
+            seen = [loaded()]
+            seen.append((cli.main(["finite-size", "--sigma-hat2", "0.1", "--m", "1e8"]), loaded()))
+            seen.append((cli.main(["keyrate", "--V", "0.5"]), loaded()))
+            seen.append(issubclass(UnphysicalStateError, ValueError))
+            seen.append((cli.main(["keyrate", "--d", "2"]), loaded()))
+            print(seen)
+        """)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path))
-        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str([
+            [], (0, ["statistics"]), (1, ["statistics"]), True,
+            (0, ["numpy", "statistics"])])
 
     def test_scientific_notation_integer_flags(self, capsys):
         code, out, _ = run(capsys, "finite-size", "--sigma-hat2", "0.1",

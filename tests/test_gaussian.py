@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqkd_mon import UnphysicalStateError
@@ -134,6 +134,22 @@ class TestConstructors:
         assert np.allclose(nus, [2.286626924635, 2.186626924634], atol=1e-9)
         assert nus.min() >= 1.0 - 1e-9
         assert nus.max() > 1.0 + 1e-3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=1e9),
+           st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=10.0)))
+    @example(1.0, 0.0)  # c = 0: the -c entry must stay -0.0, as c * -1.0 was
+    def test_noisy_source_bits_match_the_block_construction(self, V, chi_s):
+        eye, sigma_z, c = np.eye(2), np.diag([1.0, -1.0]), math.sqrt(V * V - 1.0)
+        block = CovarianceMatrix(np.block([[V * eye, c * sigma_z],
+                                           [c * sigma_z, (V + chi_s) * eye]]))
+        assert noisy_source_state(V, chi_s).matrix.tobytes() == block.matrix.tobytes()
+
+    def test_sigma_z_resolves_on_the_module(self):
+        from cvqkd_mon import gaussian
+        assert np.array_equal(gaussian.SIGMA_Z, [[1.0, 0.0], [0.0, -1.0]])
+        with pytest.raises(AttributeError, match="no attribute 'SIGMA_X'"):
+            gaussian.SIGMA_X
 
     def test_noisy_source_rejects_negative_noise(self):
         with pytest.raises(ValueError):
@@ -268,6 +284,27 @@ class TestSymplecticSpectrum:
             st = apply_beamsplitter(st, 1, 2, rng.uniform(0.0, 1.0))
             assert st.matrix.diagonal().min() >= 1.0 - 1e-9
             assert symplectic_spectrum(st).min() >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_kron_form_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        omega = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        for _ in range(20):
+            state = random_std_form_state(rng)
+            if n == 1:
+                state = CovarianceMatrix(state.matrix[2:, 2:])
+            elif n == 3:
+                state = apply_beamsplitter(tensor(state, vacuum_state()), 1, 2,
+                                           rng.uniform(0.0, 1.0))
+            expected = np.sort(np.abs(np.linalg.eigvals(omega @ state.matrix)))[::-1][0::2]
+            assert symplectic_spectrum(state).tobytes() == expected.tobytes()
+
+    def test_cached_form_is_read_only(self):
+        from cvqkd_mon.gaussian import _symplectic_form
+        omega = _symplectic_form(2)
+        assert omega is _symplectic_form(2)
+        with pytest.raises(ValueError, match="read-only"):
+            omega[0, 1] = 2.0
 
     def test_unstable_decomposition_raises(self):
         # diag(1, -1) is symmetric but Omega@gamma has real eigenvalues
